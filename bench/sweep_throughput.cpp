@@ -6,10 +6,8 @@
 // distance stats -> miss classification pipeline.
 //
 // Measured configurations:
-//   * serial, interpreted engine (options.compiled = false, threads = 1)
-//     — the pre-optimization baseline;
-//   * serial, compiled engine (CompiledExpr evaluation, threads = 1,
-//     lane_width = 1) — isolates the expression-compilation speedup;
+//   * serial, scalar engine (CompiledExpr evaluation, threads = 1,
+//     lane_width = 1) — the baseline every speedup is reported against;
 //   * serial, batched compiled engine (lane_width 4 and 8) — the
 //     simulate_batched series; a lane-width ablation whose traces are
 //     checksum-validated against the scalar engine per binding;
@@ -33,7 +31,7 @@
 //     checksum-validated against the uncached pipeline.
 //
 // Results go to stdout and to BENCH_sweep.json (machine readable).
-// Speedups are reported against the interpreted serial baseline; the
+// Speedups are reported against the scalar serial baseline; the
 // hardware thread count is recorded so a 1-core runner's numbers are
 // not mistaken for a scaling ceiling.
 //
@@ -354,41 +352,6 @@ bool validate_metric_merge(const SweepCase& sweep,
   return true;
 }
 
-// ---- symbolic_ops ----------------------------------------------------
-//
-// The symbolic engine in isolation: the repeated build -> simplify ->
-// analyze -> substitute -> evaluate series the session layer issues on
-// every slider drag, over each workload's real movement-volume
-// expression. Run twice: with the hash-consing memo tables and
-// intern-time metadata on (default engine) and with
-// set_symbolic_memoization(false) (legacy tree walks). Results are
-// checksummed and must match bit for bit — the switch may only change
-// time, never values.
-std::int64_t run_symbolic_ops(const SweepCase& sweep, int rounds) {
-  using dmv::symbolic::Expr;
-  std::int64_t checksum = 0;
-  for (int round = 0; round < rounds; ++round) {
-    // Build: re-derive the symbolic volume from the IR (exercises the
-    // interner and construction-time simplification).
-    const Expr metric = dmv::analysis::total_movement_bytes(sweep.sdfg);
-    // Deep canonicalization pass (simplify-memo hit after round 0).
-    const Expr simple = dmv::symbolic::simplified(metric);
-    // Free-symbol and reachability analyses (intern-time metadata vs
-    // legacy recursive walks).
-    checksum += static_cast<std::int64_t>(simple.free_symbols().size());
-    checksum += simple.depends_on(sweep.symbol) ? 1 : 0;
-    for (const SymbolMap& binding : sweep.bindings) {
-      // Partial substitution of the fixed symbols, then the slider.
-      const Expr partial = simple.substitute(sweep.base);
-      const Expr bound = partial.substitute(binding);
-      checksum += bound.is_constant() ? bound.constant_value() : -1;
-      // Direct evaluation of the full expression under the binding.
-      checksum += simple.evaluate(binding);
-    }
-  }
-  return checksum;
-}
-
 struct Measurement {
   double best_ms = 0;
   std::int64_t checksum = 0;
@@ -499,22 +462,6 @@ bool validate_ablation(const SweepCase& sweep,
   return true;
 }
 
-// symbolic_ops checksum gate: the memoized engine and the legacy walks
-// must produce identical values. Restores memoization even on failure.
-bool validate_symbolic_ops(const SweepCase& sweep, int rounds) {
-  dmv::symbolic::set_symbolic_memoization(true);
-  const std::int64_t memoized = run_symbolic_ops(sweep, rounds);
-  dmv::symbolic::set_symbolic_memoization(false);
-  const std::int64_t legacy = run_symbolic_ops(sweep, rounds);
-  dmv::symbolic::set_symbolic_memoization(true);
-  if (memoized != legacy) {
-    std::cerr << "FATAL: symbolic_ops mismatch on " << sweep.name
-              << ": memoized " << memoized << ", legacy " << legacy << "\n";
-    return false;
-  }
-  return true;
-}
-
 // Lane-width identity gate: the batched innermost loop at W=4 and W=8
 // must reproduce the scalar (W=1) order-sensitive trace checksum for
 // every binding. Serial threads so only the lane width varies.
@@ -522,7 +469,6 @@ bool validate_batched_trace(const SweepCase& sweep,
                             const SimulationOptions& options) {
   dmv::par::ThreadScope scope(1);
   SimulationOptions serial = options;
-  serial.parallel_trace = false;
   for (const SymbolMap& binding : sweep.bindings) {
     std::int64_t checksums[3];
     const int widths[3] = {1, 4, 8};
@@ -546,22 +492,17 @@ bool validate_batched_trace(const SweepCase& sweep,
 // every binding, materialized and streaming alike.
 bool validate_parallel_trace(const SweepCase& sweep,
                              const SimulationOptions& options) {
-  SimulationOptions serial_options = options;
-  serial_options.parallel_trace = false;
-  SimulationOptions parallel_options = options;
-  parallel_options.parallel_trace = true;
   for (const SymbolMap& binding : sweep.bindings) {
     std::int64_t serial = 0;
     std::int64_t parallel = 0;
     {
       dmv::par::ThreadScope scope(1);
-      serial =
-          trace_checksum(dmv::sim::simulate(sweep.sdfg, binding, serial_options));
+      serial = trace_checksum(dmv::sim::simulate(sweep.sdfg, binding, options));
     }
     {
       dmv::par::ThreadScope scope(8);
-      parallel = trace_checksum(
-          dmv::sim::simulate(sweep.sdfg, binding, parallel_options));
+      parallel =
+          trace_checksum(dmv::sim::simulate(sweep.sdfg, binding, options));
     }
     if (serial != parallel) {
       std::cerr << "FATAL: parallel trace mismatch on " << sweep.name
@@ -662,21 +603,18 @@ bool validate_trace_store(const SweepCase& sweep,
 }
 
 int run_smoke() {
-  SimulationOptions compiled;
-  compiled.compiled = true;
+  const SimulationOptions options;
   for (const SweepCase& sweep : build_cases(/*smoke=*/true)) {
-    if (!validate_ablation(sweep, compiled)) return 1;
-    if (!validate_parallel_trace(sweep, compiled)) return 1;
-    if (!validate_batched_trace(sweep, compiled)) return 1;
-    if (!validate_symbolic_ops(sweep, /*rounds=*/2)) return 1;
-    if (!validate_delta_recompute(sweep, compiled)) return 1;
-    if (!validate_trace_store(sweep, compiled)) return 1;
-    if (!validate_metric_merge(sweep, compiled)) return 1;
+    if (!validate_ablation(sweep, options)) return 1;
+    if (!validate_parallel_trace(sweep, options)) return 1;
+    if (!validate_batched_trace(sweep, options)) return 1;
+    if (!validate_delta_recompute(sweep, options)) return 1;
+    if (!validate_trace_store(sweep, options)) return 1;
+    if (!validate_metric_merge(sweep, options)) return 1;
     std::cout << "smoke " << sweep.name
               << ": unfused == fused == streaming == session, "
               << "serial trace == parallel trace (8 threads), "
               << "batched trace (W=4/8) == scalar, "
-              << "symbolic_ops memoized == legacy, "
               << "delta recompute == cold, "
               << "trace store round-trip == source, "
               << "merged metrics (8 threads) == serial fused\n";
@@ -710,23 +648,17 @@ int main(int argc, char** argv) {
 
   for (std::size_t w = 0; w < cases.size(); ++w) {
     const SweepCase& sweep = cases[w];
-    SimulationOptions interpreted;
-    interpreted.compiled = false;
     // `compiled` keeps the default lane width (the shipping
-    // configuration, batched); `compiled_scalar` pins lane_width = 1 so
-    // the simulate_compiled series still isolates expression
-    // compilation alone, and the batched ratio is measured against it.
-    SimulationOptions compiled;
-    compiled.compiled = true;
+    // configuration, batched); `compiled_scalar` pins lane_width = 1 —
+    // the serial baseline the batched and thread-scaled series are
+    // measured against.
+    const SimulationOptions compiled;
     SimulationOptions compiled_scalar = compiled;
     compiled_scalar.lane_width = 1;
     SimulationOptions compiled_w4 = compiled;
     compiled_w4.lane_width = 4;
 
     dmv::par::set_num_threads(1);
-    const Measurement sim_interp =
-        measure([&] { return run_simulate_only(sweep, interpreted); },
-                repetitions);
     const Measurement sim_compiled = measure(
         [&] { return run_simulate_only(sweep, compiled_scalar); },
         repetitions);
@@ -737,12 +669,11 @@ int main(int argc, char** argv) {
     const Measurement sim_batched = measure(
         [&] { return run_simulate_only(sweep, compiled); }, repetitions);
     if (!validate_batched_trace(sweep, compiled)) return 1;
-    const Measurement serial_interp =
-        measure([&] { return run_sweep(sweep, interpreted); }, repetitions);
+    const Measurement serial_scalar = measure(
+        [&] { return run_sweep(sweep, compiled_scalar); }, repetitions);
     const Measurement serial_compiled =
         measure([&] { return run_sweep(sweep, compiled); }, repetitions);
-    if (serial_interp.checksum != serial_compiled.checksum ||
-        sim_interp.checksum != sim_compiled.checksum ||
+    if (serial_scalar.checksum != serial_compiled.checksum ||
         sim_compiled.checksum != sim_batched.checksum ||
         sim_compiled.checksum != sim_batched4.checksum) {
       std::cerr << "FATAL: engine mismatch on " << sweep.name << "\n";
@@ -751,14 +682,11 @@ int main(int argc, char** argv) {
 
     // Trace generation, serial vs chunk-parallel (the tentpole series).
     // Identity is enforced on an order-sensitive full-trace checksum; on
-    // a single-core runner parallel_trace auto-disables and the series
-    // records planner overhead instead of a speedup.
-    SimulationOptions trace_serial_options = compiled;
-    trace_serial_options.parallel_trace = false;
+    // a single-core runner parallel generation turns itself off and the
+    // series records planner overhead instead of a speedup.
     dmv::par::set_num_threads(1);
     const Measurement trace_serial = measure(
-        [&] { return run_trace_generation(sweep, trace_serial_options); },
-        repetitions);
+        [&] { return run_trace_generation(sweep, compiled); }, repetitions);
     dmv::par::set_num_threads(hardware);
     const Measurement trace_parallel = measure(
         [&] { return run_trace_generation(sweep, compiled); }, repetitions);
@@ -1000,20 +928,16 @@ int main(int argc, char** argv) {
       prefetch_mode = probe.stats().prefetch;
     }
 
-    const double simulate_speedup = sim_interp.best_ms / sim_compiled.best_ms;
-    const double compiled_speedup =
-        serial_interp.best_ms / serial_compiled.best_ms;
+    const double pipeline_batched_speedup =
+        serial_scalar.best_ms / serial_compiled.best_ms;
     const double batched_speedup = sim_compiled.best_ms / sim_batched.best_ms;
-    std::cout << sweep.name << ": simulate-only interpreted "
-              << sim_interp.best_ms << " ms, compiled " << sim_compiled.best_ms
-              << " ms  (CompiledExpr alone: " << simulate_speedup << "x)\n";
-    std::cout << "  simulate batched: W=1 " << sim_compiled.best_ms
+    std::cout << sweep.name << ": simulate batched: W=1 " << sim_compiled.best_ms
               << " ms, W=4 " << sim_batched4.best_ms << " ms, W=8 "
               << sim_batched.best_ms << " ms  (" << batched_speedup
               << "x vs compiled scalar)\n";
-    std::cout << "  pipeline: interpreted " << serial_interp.best_ms
-              << " ms, compiled " << serial_compiled.best_ms << " ms  ("
-              << compiled_speedup << "x end to end)\n";
+    std::cout << "  pipeline: scalar " << serial_scalar.best_ms
+              << " ms, batched " << serial_compiled.best_ms << " ms  ("
+              << pipeline_batched_speedup << "x end to end)\n";
     std::cout << "  ablation: unfused " << serial_compiled.best_ms
               << " ms, fused " << fused.best_ms << " ms ("
               << fused_speedup << "x), streaming " << streaming.best_ms
@@ -1052,11 +976,8 @@ int main(int argc, char** argv) {
 
     json << "    {\n      \"name\": \"" << sweep.name << "\",\n";
     json << "      \"bindings\": " << sweep.bindings.size() << ",\n";
-    json << "      \"simulate_interpreted_ms\": " << sim_interp.best_ms
-         << ",\n";
     json << "      \"simulate_compiled_ms\": " << sim_compiled.best_ms
          << ",\n";
-    json << "      \"compiled_speedup\": " << simulate_speedup << ",\n";
     json << "      \"simulate_batched_ms\": " << sim_batched.best_ms << ",\n";
     json << "      \"batched_speedup\": " << batched_speedup << ",\n";
     json << "      \"lane_ablation\": {\n";
@@ -1065,11 +986,11 @@ int main(int argc, char** argv) {
     json << "        \"w8_ms\": " << sim_batched.best_ms << ",\n";
     json << "        \"checksum_identical\": true\n";
     json << "      },\n";
-    json << "      \"serial_interpreted_ms\": " << serial_interp.best_ms
+    json << "      \"serial_scalar_ms\": " << serial_scalar.best_ms
          << ",\n";
     json << "      \"serial_compiled_ms\": " << serial_compiled.best_ms
          << ",\n";
-    json << "      \"pipeline_compiled_speedup\": " << compiled_speedup
+    json << "      \"pipeline_batched_speedup\": " << pipeline_batched_speedup
          << ",\n";
     json << "      \"trace_generation\": {\n";
     json << "        \"serial_ms\": " << trace_serial.best_ms << ",\n";
@@ -1158,17 +1079,17 @@ int main(int argc, char** argv) {
         dmv::par::set_num_threads(threads);
         const Measurement parallel =
             measure([&] { return run_sweep(sweep, compiled); }, repetitions);
-        if (parallel.checksum != serial_interp.checksum) {
+        if (parallel.checksum != serial_scalar.checksum) {
           std::cerr << "FATAL: parallel mismatch on " << sweep.name << " at "
                     << threads << " threads\n";
           return 1;
         }
-        const double speedup = serial_interp.best_ms / parallel.best_ms;
+        const double speedup = serial_scalar.best_ms / parallel.best_ms;
         std::cout << "  threads=" << threads << ": " << parallel.best_ms
-                  << " ms  (" << speedup << "x vs interpreted serial)\n";
+                  << " ms  (" << speedup << "x vs scalar serial)\n";
         json << "        {\"threads\": " << threads
              << ", \"ms\": " << parallel.best_ms
-             << ", \"speedup_vs_serial_interpreted\": " << speedup << "}"
+             << ", \"speedup_vs_serial_scalar\": " << speedup << "}"
              << (t + 1 < thread_counts.size() ? "," : "") << "\n";
       }
       json << "      ]\n";
@@ -1208,8 +1129,7 @@ int main(int argc, char** argv) {
     dmv::sim::PipelineConfig step_config;
     step_config.counts = true;
     step_config.miss_threshold_lines = 512;
-    SimulationOptions compiled;
-    compiled.compiled = true;
+    const SimulationOptions compiled;
     dmv::session::SessionConfig cfg;
     cfg.pipeline = step_config;
     cfg.simulation = compiled;
@@ -1322,8 +1242,7 @@ int main(int argc, char** argv) {
     const dmv::ir::Sdfg sdfg =
         dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Baseline);
     const SymbolMap binding{{"I", 64}, {"J", 64}, {"K", 16}};
-    SimulationOptions compiled;
-    compiled.compiled = true;
+    const SimulationOptions compiled;
     dmv::session::SessionConfig cfg;
     cfg.pipeline = bench_config();
     cfg.simulation = compiled;
@@ -1402,45 +1321,6 @@ int main(int argc, char** argv) {
     json << "    \"disk_hits\": " << disk_hits << ",\n";
     json << "    \"checksum_identical\": true\n";
     json << "  },\n";
-  }
-
-  // Symbolic-engine ablation: the repeated analysis series per workload,
-  // hash-consed engine vs legacy tree walks (identical checksums
-  // enforced; only the time may differ).
-  {
-    dmv::par::set_num_threads(1);
-    constexpr int kSymbolicRounds = 40;
-    json << "  \"symbolic_ops\": [\n";
-    for (std::size_t w = 0; w < cases.size(); ++w) {
-      const SweepCase& sweep = cases[w];
-      dmv::symbolic::set_symbolic_memoization(true);
-      const Measurement memoized = measure(
-          [&] { return run_symbolic_ops(sweep, kSymbolicRounds); },
-          repetitions);
-      dmv::symbolic::set_symbolic_memoization(false);
-      const Measurement legacy = measure(
-          [&] { return run_symbolic_ops(sweep, kSymbolicRounds); },
-          repetitions);
-      dmv::symbolic::set_symbolic_memoization(true);
-      if (memoized.checksum != legacy.checksum) {
-        std::cerr << "FATAL: symbolic_ops mismatch on " << sweep.name << "\n";
-        return 1;
-      }
-      const double speedup = legacy.best_ms / memoized.best_ms;
-      std::cout << "symbolic ops (" << sweep.name << ", " << kSymbolicRounds
-                << " rounds x " << sweep.bindings.size()
-                << " bindings): legacy " << legacy.best_ms
-                << " ms, memoized " << memoized.best_ms << " ms  ("
-                << speedup << "x)\n";
-      json << "    {\"name\": \"" << sweep.name
-           << "\", \"rounds\": " << kSymbolicRounds
-           << ", \"bindings\": " << sweep.bindings.size()
-           << ", \"legacy_ms\": " << legacy.best_ms
-           << ", \"memoized_ms\": " << memoized.best_ms
-           << ", \"speedup\": " << speedup << "}"
-           << (w + 1 < cases.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n";
   }
 
   // Stack-distance algorithm ablation on a size-capped trace (the naive

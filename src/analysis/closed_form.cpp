@@ -33,7 +33,7 @@ Expr range_trips(const ir::Range& range) {
   return symbolic::max(Expr(0), (range.end - range.begin) / range.step + 1);
 }
 
-Expr subset_elements(const ir::Subset& subset) {
+Expr subset_element_count(const ir::Subset& subset) {
   Expr n = 1;
   for (const ir::Range& range : subset.ranges) {
     n = n * symbolic::max(Expr(1), range_trips(range));
@@ -80,7 +80,7 @@ ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg, bool wcr_reads) {
         for (const ir::Edge* edge : schedule.in_adjacency[id]) {
           if (edge->memlet.is_empty()) continue;
           const Expr n =
-              subset_elements(edge->memlet.subset) * iterations;
+              subset_element_count(edge->memlet.subset) * iterations;
           const int c = container_ids.at(edge->memlet.data);
           metrics.reads_per_container[c] =
               metrics.reads_per_container[c] + n;
@@ -89,7 +89,7 @@ ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg, bool wcr_reads) {
         for (const ir::Edge* edge : schedule.out_adjacency[id]) {
           if (edge->memlet.is_empty()) continue;
           const Expr n =
-              subset_elements(edge->memlet.subset) * iterations;
+              subset_element_count(edge->memlet.subset) * iterations;
           const int c = container_ids.at(edge->memlet.data);
           metrics.writes_per_container[c] =
               metrics.writes_per_container[c] + n;
@@ -107,7 +107,7 @@ ClosedFormMetrics closed_form_metrics(const Sdfg& sdfg, bool wcr_reads) {
           if (dst.kind != NodeKind::Access) continue;
           const Expr iterations = scope_trips(state, node.scope_parent);
           const Expr n =
-              subset_elements(edge->memlet.subset) * iterations;
+              subset_element_count(edge->memlet.subset) * iterations;
           const int src = container_ids.at(edge->memlet.data);
           const int dest = container_ids.at(dst.data);
           metrics.reads_per_container[src] =

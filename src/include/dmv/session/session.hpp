@@ -66,17 +66,10 @@ struct SessionConfig {
   sim::PipelineConfig pipeline;
   /// Simulation engine knobs shared by all evaluations.
   sim::SimulationOptions simulation;
-  /// Drive the pipeline in streaming mode (no event vector); turn off
-  /// if raw traces are needed elsewhere. Either mode yields
-  /// bit-identical artifacts.
-  bool streaming = true;
-  /// Route metric evaluations through the delta recomputation engine
-  /// (sim::MetricPipeline::run_delta): cache misses against a warm
-  /// checkpoint splice clean trace chunks and re-simulate only dirty
-  /// ones instead of recomputing from scratch (docs/incremental.md).
-  /// Takes precedence over `streaming` (the checkpoint is materialized).
-  /// Artifacts stay bit-identical either way.
-  bool delta = true;
+  // Metric evaluations always go through the delta recomputation
+  // engine (sim::MetricPipeline::run_delta): cache misses against a warm
+  // checkpoint splice clean trace chunks and re-simulate only dirty ones
+  // (docs/incremental.md). Artifacts are bit-identical to a cold run.
 
   /// LRU byte budget over all cached artifacts. The most recently
   /// inserted entry is always kept, even when it alone exceeds the

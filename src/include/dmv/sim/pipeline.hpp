@@ -62,7 +62,7 @@ struct PipelineConfig {
   /// Drive materialized runs through the mergeable parallel metric
   /// engine (partitioned cache sets, two-phase stack distances,
   /// per-segment consumer partials). Results are bit-identical to the
-  /// serial fused pass, so — like SimulationOptions::parallel_trace —
+  /// serial fused pass, so — like SimulationOptions::lane_width —
   /// this is a pure execution strategy: NOT part of fingerprint() and
   /// never in cache keys. The serial pass remains the fallback (and the
   /// identity reference) whenever the engine cannot run.
@@ -156,7 +156,7 @@ std::size_t approx_size_bytes(const PipelineResult& result);
 /// pipeline is destroyed.
 ///
 /// Thread safety: a MetricPipeline is NOT thread-safe — run/run_streaming/
-/// run_sweep mutate the shared arena, so give each concurrent caller its
+/// run_delta mutate the shared arena, so give each concurrent caller its
 /// own instance (the session prefetcher keeps one per pool slot). Calls
 /// are internally serial; results are bit-identical at any
 /// dmv::par::num_threads() setting.
@@ -203,13 +203,6 @@ class MetricPipeline {
   /// event_storage_bytes() stays 0.
   PipelineResult run_streaming(const Sdfg& sdfg, const SymbolMap& symbols,
                                const SimulationOptions& options = {});
-
-  /// Slider sweep: one result per value, binding `symbol` on top of
-  /// `base`. Every arena buffer is reused across steps.
-  std::vector<PipelineResult> run_sweep(
-      const Sdfg& sdfg, const SymbolMap& base, const std::string& symbol,
-      const std::vector<std::int64_t>& values, bool streaming = true,
-      const SimulationOptions& options = {});
 
   /// Bytes reserved by the arena's event columns: >0 after a
   /// materialized run, exactly 0 after streaming-only use — the

@@ -218,8 +218,6 @@ struct Server::Impl {
     std::lock_guard<std::mutex> lock(client->mutex);
     session::SessionConfig cfg = client->session->config();
     cfg.shared_cache = shared;
-    if (params.has("streaming")) cfg.streaming = params.at("streaming").as_bool();
-    if (params.has("delta")) cfg.delta = params.at("delta").as_bool();
     if (params.has("prefetch")) cfg.prefetch = params.at("prefetch").as_bool();
     if (params.has("prefetch_depth")) {
       cfg.prefetch_depth = static_cast<int>(params.at("prefetch_depth").as_int());
@@ -255,8 +253,6 @@ struct Server::Impl {
     client->session->set_binding(std::move(binding));
 
     Value result = Value::make_object();
-    result["streaming"] = Value::of(cfg.streaming);
-    result["delta"] = Value::of(cfg.delta);
     result["prefetch"] = Value::of(cfg.prefetch);
     result["prefetch_depth"] = Value::of(cfg.prefetch_depth);
     result["cache_budget_bytes"] =
@@ -269,6 +265,20 @@ struct Server::Impl {
     result["element_stats"] = Value::of(cfg.pipeline.element_stats);
     result["movement"] = Value::of(cfg.pipeline.movement);
     return result;
+  }
+
+  // A binding the program cannot run under — an unbound symbol, a
+  // non-positive extent or step — is the client's fault: bad_request,
+  // not internal.
+  static std::shared_ptr<const sim::PipelineResult> evaluate_step(
+      session::Session& session) {
+    try {
+      return session.metrics();
+    } catch (const symbolic::UnboundSymbolError& error) {
+      throw RequestError("bad_request", error.what());
+    } catch (const std::invalid_argument& error) {
+      throw RequestError("bad_request", error.what());
+    }
   }
 
   Value do_step(const Value& params) {
@@ -333,9 +343,9 @@ struct Server::Impl {
           flight->cv.notify_all();
         }
       } guard{this, key, flight};
-      result = client->session->metrics();
+      result = evaluate_step(*client->session);
     } else {
-      result = client->session->metrics();
+      result = evaluate_step(*client->session);
     }
 
     const session::SessionStats after = client->session->stats();

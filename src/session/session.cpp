@@ -149,7 +149,6 @@ struct Session::Impl {
     config_hash = fnv1a(config_hash, static_cast<std::uint64_t>(
                                          config.simulation.placement_alignment));
     config_hash = fnv1a(config_hash, config.simulation.wcr_reads ? 1 : 0);
-    config_hash = fnv1a(config_hash, config.simulation.compiled ? 1 : 0);
     rehash_program();
   }
 
@@ -260,13 +259,8 @@ struct Session::Impl {
 
   PipelineResult evaluate(MetricPipeline& on, const SymbolMap& at,
                           sim::DeltaOutcome* outcome = nullptr) {
-    if (config.delta) {
-      return on.run_delta(program, program_hash, at, config.simulation,
-                          outcome);
-    }
-    return config.streaming
-               ? on.run_streaming(program, at, config.simulation)
-               : on.run(program, at, config.simulation);
+    return on.run_delta(program, program_hash, at, config.simulation,
+                        outcome);
   }
 
   std::shared_ptr<const PipelineResult> metrics() {
@@ -276,7 +270,7 @@ struct Session::Impl {
     if (std::shared_ptr<const void> cached = lookup(key)) {
       result = std::static_pointer_cast<const PipelineResult>(cached);
     } else {
-      sim::DeltaOutcome outcome;  // Defaults to kCold for the non-delta path.
+      sim::DeltaOutcome outcome;
       result = std::make_shared<const PipelineResult>(
           evaluate(pipeline, binding, &outcome));
       note_step(outcome.path == sim::DeltaOutcome::Path::kCold

@@ -25,8 +25,8 @@ CompiledSpaceBounds::CompiledSpaceBounds(const IterationSpace& space) {
   }
   table_.bind(space.base, values_, bound_);
   // The space's own parameters start unbound even if the base binding
-  // mentions them: iteration owns these names (mirrors the interpreted
-  // evaluator, which erased them from its environment).
+  // mentions them: iteration owns these names (as if they were erased
+  // from a SymbolMap environment).
   for (int slot : param_slots_) bound_[slot] = 0;
 }
 
@@ -35,7 +35,8 @@ CompiledSpaceBounds::Triple CompiledSpaceBounds::eval(std::size_t dim) {
   if (d.invariant && d.cached) return d.cache;
   // Parameters of this and inner dimensions are out of scope for this
   // bound; clear any value a previous sibling subtree left behind so
-  // forward references fail exactly like the interpreted evaluator.
+  // forward references fail exactly like Expr::evaluate over the outer
+  // environment.
   for (std::size_t q = dim; q < param_slots_.size(); ++q) {
     bound_[param_slots_[q]] = 0;
   }

@@ -667,8 +667,7 @@ bool MetricPipeline::try_run_fused_generation(const Sdfg& sdfg,
                                               const SymbolMap& symbols,
                                               const SimulationOptions& options,
                                               PipelineResult& result) {
-  if (!options.parallel_trace || par::num_threads() <= 1 ||
-      par::in_parallel_region()) {
+  if (par::num_threads() <= 1 || par::in_parallel_region()) {
     return false;
   }
   ArenaState& arena = *arena_;
@@ -827,21 +826,6 @@ PipelineResult MetricPipeline::run_streaming(const Sdfg& sdfg,
   return result;
 }
 
-std::vector<PipelineResult> MetricPipeline::run_sweep(
-    const Sdfg& sdfg, const SymbolMap& base, const std::string& symbol,
-    const std::vector<std::int64_t>& values, bool streaming,
-    const SimulationOptions& options) {
-  std::vector<PipelineResult> results;
-  results.reserve(values.size());
-  SymbolMap binding = base;
-  for (const std::int64_t value : values) {
-    binding[symbol] = value;
-    results.push_back(streaming ? run_streaming(sdfg, binding, options)
-                                : run(sdfg, binding, options));
-  }
-  return results;
-}
-
 namespace {
 
 // Delta plans use a fixed fine granularity instead of the thread-derived
@@ -853,9 +837,9 @@ namespace {
 constexpr int kDeltaMaxChunks = 1 << 20;
 
 // Fingerprint of the SimulationOptions fields that can change the
-// simulator's OUTPUT. compiled / parallel_trace / lane_width are
-// excluded on purpose: they are bit-identical execution strategies, so
-// toggling them must not invalidate a checkpoint.
+// simulator's OUTPUT. lane_width is excluded on purpose: it is a
+// bit-identical execution strategy, so changing it must not invalidate
+// a checkpoint.
 std::uint64_t delta_options_fingerprint(const SimulationOptions& options) {
   std::uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](std::uint64_t value) {

@@ -7,14 +7,17 @@
 #include "dmv/par/par.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
+#include "dmv/sim/trace_plan.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "reference_trace.hpp"
 
 // Determinism contract of the parallel engine: every metric pass and the
-// compiled simulator must be BIT-IDENTICAL to the serial interpreted
-// baseline — the parallelism and expression compilation are pure
-// performance changes, never numeric ones. These tests run the same
-// inputs through (a) the interpreted vs compiled simulator and (b) the
-// metric passes at 1 vs 8 threads, and require exact equality.
+// simulator must be BIT-IDENTICAL to the serial baseline — parallelism,
+// expression compilation and lane batching are pure performance changes,
+// never numeric ones. These tests run the same inputs through (a) the
+// simulator vs the test-side reference tracer (reference_trace.hpp, a
+// plain interpreted walk) and (b) the metric passes at 1 vs 8 threads,
+// and require exact equality.
 
 namespace dmv::sim {
 namespace {
@@ -45,23 +48,39 @@ TEST(Determinism, CompiledSimulatorMatchesInterpreterOnHdiff) {
   const ir::Sdfg sdfg =
       workloads::hdiff(workloads::HdiffVariant::Baseline);
   const symbolic::SymbolMap binding = workloads::hdiff_local();
-  SimulationOptions interpreted;
-  interpreted.compiled = false;
-  SimulationOptions compiled;
-  compiled.compiled = true;
-  expect_traces_identical(simulate(sdfg, binding, interpreted),
-                          simulate(sdfg, binding, compiled));
+  expect_traces_identical(reference_trace(sdfg, binding),
+                          simulate(sdfg, binding));
 }
 
 TEST(Determinism, CompiledSimulatorMatchesInterpreterOnBert) {
   const ir::Sdfg sdfg = workloads::bert_encoder(workloads::BertStage::Fused1);
   const symbolic::SymbolMap binding = workloads::bert_small();
-  SimulationOptions interpreted;
-  interpreted.compiled = false;
-  SimulationOptions compiled;
-  compiled.compiled = true;
-  expect_traces_identical(simulate(sdfg, binding, interpreted),
-                          simulate(sdfg, binding, compiled));
+  expect_traces_identical(reference_trace(sdfg, binding),
+                          simulate(sdfg, binding));
+}
+
+TEST(Determinism, ReferenceTraceMatchesSimulateOnCaseStudies) {
+  for (const auto& [label, sdfg, binding] : case_study_stages()) {
+    SCOPED_TRACE(label);
+    const AccessTrace reference = reference_trace(sdfg, binding);
+    {
+      par::ThreadScope scope(4);
+      const TracePlan plan = plan_trace(sdfg, binding, {});
+      ASSERT_TRUE(plan.parallelizable);
+      ASSERT_GT(plan.chunks.size(), 1u);
+      ASSERT_GE(plan.total_events, 8192);
+    }
+    for (const int threads : {1, 4}) {
+      for (const int lanes : {1, 8}) {
+        SCOPED_TRACE(::testing::Message()
+                     << threads << " threads, " << lanes << " lanes");
+        SimulationOptions options;
+        options.lane_width = lanes;
+        par::ThreadScope scope(threads);
+        expect_traces_identical(reference, simulate(sdfg, binding, options));
+      }
+    }
+  }
 }
 
 // Records the exact sink call sequence so streaming runs can be
@@ -97,37 +116,31 @@ void expect_events_identical(const std::vector<AccessEvent>& a,
 TEST(Determinism, ParallelTraceBitIdenticalAcrossThreadCounts) {
   // The tentpole contract: chunked parallel generation is a pure
   // performance change. 1 thread (serial fallback), 8 threads (chunked),
-  // and parallel_trace = false must produce byte-identical traces.
-  for (const bool compiled : {true, false}) {
-    SimulationOptions options;
-    options.compiled = compiled;
-    const std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> cases = [] {
-      std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> list;
-      list.emplace_back(workloads::hdiff(workloads::HdiffVariant::Baseline),
-                        workloads::hdiff_local());
-      list.emplace_back(workloads::matmul(),
-                        symbolic::SymbolMap{{"M", 12}, {"N", 10}, {"K", 8}});
-      list.emplace_back(workloads::bert_encoder(workloads::BertStage::Fused1),
-                        workloads::bert_small());
-      return list;
-    }();
-    for (const auto& [sdfg, binding] : cases) {
-      SimulationOptions serial_options = options;
-      serial_options.parallel_trace = false;
-      const AccessTrace reference = simulate(sdfg, binding, serial_options);
-      AccessTrace one;
-      AccessTrace eight;
-      {
-        par::ThreadScope scope(1);
-        one = simulate(sdfg, binding, options);
-      }
-      {
-        par::ThreadScope scope(8);
-        eight = simulate(sdfg, binding, options);
-      }
-      expect_traces_identical(reference, one);
-      expect_traces_identical(reference, eight);
+  // and the reference tracer must produce byte-identical traces.
+  const std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> cases = [] {
+    std::vector<std::pair<ir::Sdfg, symbolic::SymbolMap>> list;
+    list.emplace_back(workloads::hdiff(workloads::HdiffVariant::Baseline),
+                      workloads::hdiff_local());
+    list.emplace_back(workloads::matmul(),
+                      symbolic::SymbolMap{{"M", 12}, {"N", 10}, {"K", 8}});
+    list.emplace_back(workloads::bert_encoder(workloads::BertStage::Fused1),
+                      workloads::bert_small());
+    return list;
+  }();
+  for (const auto& [sdfg, binding] : cases) {
+    const AccessTrace reference = reference_trace(sdfg, binding);
+    AccessTrace one;
+    AccessTrace eight;
+    {
+      par::ThreadScope scope(1);
+      one = simulate(sdfg, binding);
     }
+    {
+      par::ThreadScope scope(8);
+      eight = simulate(sdfg, binding);
+    }
+    expect_traces_identical(reference, one);
+    expect_traces_identical(reference, eight);
   }
 }
 
@@ -147,9 +160,12 @@ TEST(Determinism, BatchedTraceBitIdenticalAcrossThreadsAndLanes) {
   }();
   for (const auto& [sdfg, binding] : cases) {
     SimulationOptions reference_options;
-    reference_options.parallel_trace = false;
     reference_options.lane_width = 1;
-    const AccessTrace reference = simulate(sdfg, binding, reference_options);
+    AccessTrace reference;
+    {
+      par::ThreadScope scope(1);
+      reference = simulate(sdfg, binding, reference_options);
+    }
     for (const int threads : {1, 8}) {
       for (const int lanes : {1, 8}) {
         SimulationOptions options;

@@ -131,6 +131,40 @@ TEST(ServeProtocolTest, StepWithBadParamsReportsBadRequest) {
   EXPECT_EQ(bad_type.at("error").at("code").as_string(), "bad_request");
 }
 
+TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
+  // A binding the program cannot run under is the client's fault: a
+  // negative extent and a symbol left unbound both map to bad_request.
+  Server server;
+  server.handle(open_request("a", "hdiff"));
+  struct Case {
+    const char* binding;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"{\"I\":-5,\"J\":8,\"K\":4}", "non-positive extent"},
+      {"{\"I\":8,\"J\":8}", "unbound symbol in evaluation: K"},
+  };
+  for (const Case& c : cases) {
+    const Value response = parse_line(server.handle(
+        std::string("{\"id\":3,\"method\":\"step\",\"params\":"
+                    "{\"session\":\"a\",\"binding\":") +
+        c.binding + "}}"));
+    ASSERT_TRUE(response.has("error")) << c.binding;
+    EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request")
+        << c.binding;
+    EXPECT_NE(response.at("error").at("message").as_string().find(c.message),
+              std::string::npos)
+        << dmv::json::dump(response);
+  }
+  // The same session still serves a valid step, bit-identical to a lone
+  // Session at that binding.
+  const Value stepped = parse_line(server.handle(step_request("a", "K", 6)));
+  ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
+  EXPECT_EQ(stepped.at("result").at("checksum").as_string(),
+            reference_checksums({6}).front());
+  EXPECT_EQ(server.stats().errors, 2);
+}
+
 TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {
   Server server;
   server.handle(open_request("a", "hdiff"));

@@ -73,9 +73,7 @@ void expect_identical(const PipelineResult& a, const PipelineResult& b) {
 PipelineResult uncached(const ir::Sdfg& sdfg, const SymbolMap& binding,
                         const SessionConfig& config) {
   sim::MetricPipeline pipeline(config.pipeline);
-  return config.streaming
-             ? pipeline.run_streaming(sdfg, binding, config.simulation)
-             : pipeline.run(sdfg, binding, config.simulation);
+  return pipeline.run_streaming(sdfg, binding, config.simulation);
 }
 
 TEST(SessionTest, HitMissAccounting) {

@@ -1,7 +1,7 @@
 // Hash-consing engine tests: intern identity, memoized DAG analyses on
 // heavily shared subtrees, Pow folding overflow guards, and property /
 // fuzz coverage that the interned engine is observationally identical to
-// the legacy tree walks (memoization off).
+// plain recursive tree walks kept here as oracles.
 
 #include <gtest/gtest.h>
 
@@ -16,18 +16,6 @@
 
 namespace dmv::symbolic {
 namespace {
-
-// RAII toggle for the legacy (memo-off) ablation paths, so a failing
-// assertion cannot leak the disabled state into other tests.
-class ScopedMemoization {
- public:
-  explicit ScopedMemoization(bool enabled)
-      : previous_(set_symbolic_memoization(enabled)) {}
-  ~ScopedMemoization() { set_symbolic_memoization(previous_); }
-
- private:
-  bool previous_;
-};
 
 TEST(SymbolicIntern, StructurallyEqualExpressionsShareOneNode) {
   const Expr a = Expr::symbol("N") * 4 + Expr::symbol("M");
@@ -169,7 +157,7 @@ TEST(SymbolicIntern, PowFoldGuardedAgainstOverflow) {
   EXPECT_EQ(max_fold.constant_value(), std::int64_t{1} << 62);
 }
 
-// --- property / fuzz: interned engine == legacy walks ------------------
+// --- property / fuzz: interned engine == tree-walk oracles -------------
 
 // Random expression trees over a small symbol pool. Depth-bounded and
 // magnitude-bounded; exercises every ExprKind. With |leaf| <= 3, depth 4,
@@ -289,6 +277,42 @@ TEST(SymbolicIntern, FuzzEvaluationMatchesReferenceAndBinding) {
   }
 }
 
+// Tree-walk oracles for the intern-time metadata and the memoized
+// rewrite: no memo tables, no free-symbol sets, no bloom masks.
+void reference_free_symbols(const Expr& e, std::set<std::string>& out) {
+  if (e.is_symbol()) {
+    out.insert(e.symbol_name());
+    return;
+  }
+  for (const Expr& op : e.operands()) reference_free_symbols(op, out);
+}
+
+bool reference_depends_on_any(const Expr& e,
+                              const std::set<std::string>& symbols) {
+  if (e.is_symbol()) return symbols.contains(e.symbol_name());
+  for (const Expr& op : e.operands()) {
+    if (reference_depends_on_any(op, symbols)) return true;
+  }
+  return false;
+}
+
+// Rebuilds every changed node through Expr::make, the construction path
+// the memoized substitute uses, once per tree occurrence.
+Expr reference_substitute(const Expr& e, const SymbolMap& env) {
+  if (e.is_constant()) return e;
+  if (e.is_symbol()) {
+    auto it = env.find(e.symbol_name());
+    return it == env.end() ? e : Expr(it->second);
+  }
+  std::vector<Expr> operands;
+  bool changed = false;
+  for (const Expr& op : e.operands()) {
+    operands.push_back(reference_substitute(op, env));
+    changed = changed || !operands.back().same_node(op);
+  }
+  return changed ? Expr::make(e.kind(), std::move(operands)) : e;
+}
+
 TEST(SymbolicIntern, FuzzMemoizedAndLegacyPathsAgree) {
   std::mt19937 rng(4242);
   const SymbolMap env{{"pfA", 3}, {"pfB", 2}, {"pfC", -3}};
@@ -296,22 +320,19 @@ TEST(SymbolicIntern, FuzzMemoizedAndLegacyPathsAgree) {
   const std::set<std::string> probe{"pfB", "pfQ"};
   for (int round = 0; round < 150; ++round) {
     const Expr e = random_expr(rng, 4);
-    // Memoized / metadata answers...
-    const std::optional<std::int64_t> eval_fast = e.try_evaluate(env);
-    const std::set<std::string> free_fast = e.free_symbols();
-    const bool dep_fast = e.depends_on("pfB");
-    const bool any_fast = depends_on_any(e, probe);
-    const Expr subst_fast = e.substitute(partial);
-    {
-      // ...must equal the legacy tree walks bit for bit.
-      ScopedMemoization legacy(false);
-      EXPECT_EQ(e.try_evaluate(env), eval_fast) << e.to_string();
-      EXPECT_EQ(e.free_symbols(), free_fast) << e.to_string();
-      EXPECT_EQ(e.depends_on("pfB"), dep_fast) << e.to_string();
-      EXPECT_EQ(depends_on_any(e, probe), any_fast) << e.to_string();
-      EXPECT_TRUE(e.substitute(partial).same_node(subst_fast))
-          << e.to_string();
-    }
+    // Memoized / metadata answers must equal the tree walks bit for bit.
+    EXPECT_EQ(e.try_evaluate(env), reference_try_eval(e, env))
+        << e.to_string();
+    std::set<std::string> free_walk;
+    reference_free_symbols(e, free_walk);
+    EXPECT_EQ(e.free_symbols(), free_walk) << e.to_string();
+    EXPECT_EQ(e.depends_on("pfB"), reference_depends_on_any(e, {"pfB"}))
+        << e.to_string();
+    EXPECT_EQ(depends_on_any(e, probe), reference_depends_on_any(e, probe))
+        << e.to_string();
+    EXPECT_TRUE(
+        e.substitute(partial).same_node(reference_substitute(e, partial)))
+        << e.to_string();
     // Simplification is idempotent and stable under interning.
     const Expr s = simplified(e);
     EXPECT_TRUE(simplified(s).same_node(s)) << e.to_string();

@@ -9,6 +9,7 @@
 #include "dmv/par/par.hpp"
 #include "dmv/sim/sim.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "reference_trace.hpp"
 
 // The chunk planner's contract: plan_trace() predicts the serial event
 // stream EXACTLY — total counts, per-chunk counts, and offsets — for
@@ -22,23 +23,45 @@ namespace {
 
 using builder::ProgramBuilder;
 
-// Serial ground truth: the parallel path must never be what we compare
-// against here.
+// Serial ground truth: one thread, so the parallel path is never what we
+// compare against here.
 AccessTrace serial_trace(const ir::Sdfg& sdfg, const symbolic::SymbolMap& b,
-                         SimulationOptions options = {}) {
-  options.parallel_trace = false;
+                         const SimulationOptions& options = {}) {
+  par::ThreadScope scope(1);
   return simulate(sdfg, b, options);
 }
 
+// Regenerates `chunk` in isolation through simulate_chunk and compares it
+// against the corresponding slice of `reference`.
+void expect_chunk_matches(const ir::Sdfg& sdfg,
+                          const symbolic::SymbolMap& binding,
+                          const SimulationOptions& options,
+                          const AccessTrace& reference,
+                          const TraceChunk& chunk) {
+  EventList events;
+  simulate_chunk(sdfg, binding, options, reference, chunk, events);
+  ASSERT_EQ(static_cast<std::int64_t>(events.size()), chunk.event_count);
+  for (std::int64_t i = 0; i < chunk.event_count; ++i) {
+    const AccessEvent got = events[static_cast<std::size_t>(i)];
+    const AccessEvent want =
+        reference.events[static_cast<std::size_t>(chunk.event_offset + i)];
+    ASSERT_EQ(got.container, want.container) << "chunk event " << i;
+    ASSERT_EQ(got.flat, want.flat) << "chunk event " << i;
+    ASSERT_EQ(got.is_write, want.is_write) << "chunk event " << i;
+    ASSERT_EQ(got.timestep, want.timestep) << "chunk event " << i;
+    ASSERT_EQ(got.execution, want.execution) << "chunk event " << i;
+    ASSERT_EQ(got.tasklet, want.tasklet) << "chunk event " << i;
+  }
+}
+
 // Validates the structural invariants of a plan and its agreement with
-// the serial trace, then regenerates every chunk through simulate_chunk
-// and compares each against the corresponding slice of the serial
-// stream.
-void expect_plan_matches_serial(const ir::Sdfg& sdfg,
-                                const symbolic::SymbolMap& binding,
-                                const SimulationOptions& options = {},
-                                int max_chunks_per_map = 4) {
-  const AccessTrace reference = serial_trace(sdfg, binding, options);
+// `reference`, then regenerates every chunk through simulate_chunk and
+// compares each against the corresponding slice of `reference`.
+void expect_plan_matches(const ir::Sdfg& sdfg,
+                         const symbolic::SymbolMap& binding,
+                         const SimulationOptions& options,
+                         int max_chunks_per_map,
+                         const AccessTrace& reference) {
   const TracePlan plan = plan_trace(sdfg, binding, options,
                                     max_chunks_per_map);
   ASSERT_TRUE(plan.parallelizable);
@@ -60,23 +83,18 @@ void expect_plan_matches_serial(const ir::Sdfg& sdfg,
   EXPECT_EQ(event_cursor, plan.total_events);
   EXPECT_EQ(execution_cursor, plan.total_executions);
 
-  // Each chunk regenerated in isolation reproduces its serial slice.
+  // Each chunk regenerated in isolation reproduces its reference slice.
   for (const TraceChunk& chunk : plan.chunks) {
-    EventList events;
-    simulate_chunk(sdfg, binding, options, reference, chunk, events);
-    ASSERT_EQ(static_cast<std::int64_t>(events.size()), chunk.event_count);
-    for (std::int64_t i = 0; i < chunk.event_count; ++i) {
-      const AccessEvent got = events[static_cast<std::size_t>(i)];
-      const AccessEvent want =
-          reference.events[static_cast<std::size_t>(chunk.event_offset + i)];
-      ASSERT_EQ(got.container, want.container) << "chunk event " << i;
-      ASSERT_EQ(got.flat, want.flat) << "chunk event " << i;
-      ASSERT_EQ(got.is_write, want.is_write) << "chunk event " << i;
-      ASSERT_EQ(got.timestep, want.timestep) << "chunk event " << i;
-      ASSERT_EQ(got.execution, want.execution) << "chunk event " << i;
-      ASSERT_EQ(got.tasklet, want.tasklet) << "chunk event " << i;
-    }
+    expect_chunk_matches(sdfg, binding, options, reference, chunk);
   }
+}
+
+void expect_plan_matches_serial(const ir::Sdfg& sdfg,
+                                const symbolic::SymbolMap& binding,
+                                const SimulationOptions& options = {},
+                                int max_chunks_per_map = 4) {
+  expect_plan_matches(sdfg, binding, options, max_chunks_per_map,
+                      serial_trace(sdfg, binding, options));
 }
 
 TEST(TracePlan, HdiffAcrossBindings) {
@@ -132,11 +150,38 @@ TEST(TracePlan, WcrReadsDoubleTheOutEdgeEvents) {
 }
 
 TEST(TracePlan, InterpretedEngineChunks) {
-  // simulate_chunk honors options.compiled = false; offsets don't change.
+  // Every chunk reproduces its slice of the reference tracer's
+  // interpreted walk, at both lane widths.
   const ir::Sdfg sdfg = workloads::outer_product();
-  SimulationOptions options;
-  options.compiled = false;
-  expect_plan_matches_serial(sdfg, workloads::outer_product_fig3(), options);
+  const symbolic::SymbolMap binding = workloads::outer_product_fig3();
+  for (const int lanes : {1, 8}) {
+    SimulationOptions options;
+    options.lane_width = lanes;
+    expect_plan_matches(sdfg, binding, options, 4,
+                        reference_trace(sdfg, binding, options));
+  }
+}
+
+TEST(TracePlan, ReferenceTraceMatchesChunkOnCaseStudies) {
+  // One simulate_chunk slice per plan — the middle chunk, which starts
+  // mid-iteration-space — against the reference tracer, for the eight
+  // case-study stages at both lane widths.
+  for (const auto& [label, sdfg, binding] : case_study_stages()) {
+    SCOPED_TRACE(label);
+    const AccessTrace reference = reference_trace(sdfg, binding);
+    const TracePlan plan = plan_trace(sdfg, binding, {}, 4);
+    ASSERT_TRUE(plan.parallelizable);
+    ASSERT_GT(plan.chunks.size(), 1u);
+    EXPECT_EQ(plan.total_events,
+              static_cast<std::int64_t>(reference.events.size()));
+    EXPECT_EQ(plan.total_executions, reference.executions);
+    const TraceChunk& chunk = plan.chunks[plan.chunks.size() / 2];
+    for (const int lanes : {1, 8}) {
+      SimulationOptions options;
+      options.lane_width = lanes;
+      expect_chunk_matches(sdfg, binding, options, reference, chunk);
+    }
+  }
 }
 
 TEST(TracePlan, ManyChunksPerMap) {
