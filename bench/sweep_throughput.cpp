@@ -15,15 +15,14 @@
 //     across bindings — the interactive-rate configuration (skipped and
 //     recorded as such when the machine has a single hardware thread);
 //   * pipeline ablation: the same metric set as separate passes
-//     (unfused), through MetricPipeline over a materialized trace
-//     (fused), and through MetricPipeline in streaming mode (no event
-//     vector) — all serial, all checksum-validated against each other;
+//     (unfused) and through MetricPipeline (fused) — both serial,
+//     checksum-validated against each other;
 //   * stack-distance algorithm ablation: naive O(n^2) list scan vs the
 //     Fenwick-tree Olken pass on a size-capped trace;
-//   * metrics breakdown: the mergeable parallel metric engine vs the
-//     serial fused pass, per consumer (counts / distances / misses /
-//     element_stats / cache) and for the full set, full-result
-//     fingerprint-gated, with a thread-scaling series (or an explicit
+//   * metrics breakdown: the pipeline's metric engine at 1 thread per
+//     consumer (counts / distances / misses / element_stats / cache) and
+//     for the full set, full-result fingerprint-gated against the
+//     standalone passes, with a thread-scaling series (or an explicit
 //     skip record on a 1-core runner);
 //   * session sweep: the same slider drag through dmv::session::Session
 //     — cold (fresh cache), warm (every binding already cached), and
@@ -36,8 +35,9 @@
 // not mistaken for a scaling ceiling.
 //
 // `--smoke`: tiny workload, one repetition, no thread loop, no JSON —
-// exits nonzero if the fused/streaming/unfused/session checksums
-// diverge. CI runs this as the pipeline-ablation gate.
+// exits nonzero if the fused/unfused/session checksums, the trace
+// identity gates, or the pipeline-vs-standalone fingerprints diverge.
+// CI runs this as the pipeline-ablation gate.
 
 #include <algorithm>
 #include <chrono>
@@ -67,8 +67,8 @@ using dmv::symbolic::SymbolMap;
 
 // One workload's slider sweep. The binding list is derived ONCE from
 // (base, symbol, values) in make_case, so every configuration — unfused,
-// fused, streaming, thread-scaled, and the session sweep — measures the
-// exact same slider positions.
+// fused, thread-scaled, and the session sweep — measures the exact same
+// slider positions.
 struct SweepCase {
   std::string name;
   dmv::ir::Sdfg sdfg;
@@ -150,14 +150,11 @@ std::int64_t pipeline_checksum(const dmv::sim::PipelineResult& result) {
 // (trace columns, line table, Fenwick, per-element scratch) is
 // allocated once and reused at every slider position.
 std::int64_t run_fused(const SweepCase& sweep,
-                       const SimulationOptions& options, bool streaming) {
+                       const SimulationOptions& options) {
   dmv::sim::MetricPipeline pipeline(bench_config());
   std::int64_t total = 0;
   for (const SymbolMap& binding : sweep.bindings) {
-    const dmv::sim::PipelineResult result =
-        streaming ? pipeline.run_streaming(sweep.sdfg, binding, options)
-                  : pipeline.run(sweep.sdfg, binding, options);
-    total += pipeline_checksum(result);
+    total += pipeline_checksum(pipeline.run(sweep.sdfg, binding, options));
   }
   return total;
 }
@@ -226,17 +223,15 @@ std::int64_t run_sweep(const SweepCase& sweep,
 
 // ---- metrics_breakdown ----------------------------------------------
 //
-// The mergeable parallel metric engine vs the serial fused pass, over
-// pre-simulated traces (no simulation cost in either series). Gated on
-// an FNV-1a fingerprint of EVERY PipelineResult field — a stronger
-// check than the additive checksums above, because the engine's merge
-// order must reproduce the serial pass bit for bit, not just in
+// The pipeline's metric engine over pre-simulated traces (no simulation
+// cost in the series). Gated on an FNV-1a fingerprint of EVERY
+// PipelineResult field against the standalone passes — a stronger check
+// than the additive checksums above, because the engine's segment merge
+// order must reproduce the serial event order bit for bit, not just in
 // aggregate. Measured per consumer (counts / distances / misses /
-// element_stats / cache) and for the full consumer set; the full set
-// also gets a thread-scaling series (or an explicit skip record on a
-// 1-core runner). The 1-thread ratio is a real speedup even without a
-// pool: the engine's SIMD line derivation, flat-array LRU sets, and
-// fissioned consumer loops beat the serial pass's per-event dispatch.
+// element_stats / cache) and for the full consumer set at 1 thread; the
+// full set also gets a thread-scaling series (or an explicit skip
+// record on a 1-core runner).
 
 std::uint64_t fnv_fold(std::uint64_t hash, std::int64_t value) {
   hash ^= static_cast<std::uint64_t>(value);
@@ -303,13 +298,9 @@ dmv::sim::PipelineConfig breakdown_config() {
   return config;
 }
 
-// One consumer's drive over the pre-simulated traces. `merged` selects
-// the engine; min_events 0 so the engine always engages when asked.
+// One consumer's drive over the pre-simulated traces.
 std::uint64_t run_metric_engine(const std::vector<AccessTrace>& traces,
-                                dmv::sim::PipelineConfig config,
-                                bool merged) {
-  config.parallel_metrics = merged;
-  config.parallel_metrics_min_events = 0;
+                                const dmv::sim::PipelineConfig& config) {
   dmv::sim::MetricPipeline pipeline(config);
   std::uint64_t hash = 0;
   for (const AccessTrace& trace : traces) {
@@ -318,8 +309,46 @@ std::uint64_t run_metric_engine(const std::vector<AccessTrace>& traces,
   return hash;
 }
 
-// Fingerprint gate shared by the full run and --smoke: the engine at 8
-// (oversubscribed) threads must reproduce the serial fused pass's full
+// The same fingerprint from the standalone passes — the independent
+// reference every engine configuration must reproduce.
+std::uint64_t run_standalone(const std::vector<AccessTrace>& traces,
+                             const dmv::sim::PipelineConfig& config) {
+  std::uint64_t hash = 0;
+  for (const AccessTrace& trace : traces) {
+    dmv::sim::PipelineResult result;
+    result.events = static_cast<std::int64_t>(trace.events.size());
+    result.executions = trace.executions;
+    result.containers = trace.containers;
+    if (config.counts) result.counts = dmv::sim::count_accesses(trace);
+    dmv::sim::StackDistanceResult distances;
+    if (config.needs_distances()) {
+      distances = dmv::sim::stack_distances(trace, config.line_size);
+    }
+    if (config.keep_distances) result.distances = distances;
+    if (config.miss_threshold_lines > 0) {
+      result.misses = dmv::sim::classify_misses(trace, distances,
+                                                config.miss_threshold_lines);
+    }
+    if (config.element_stats) {
+      for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
+        result.element_stats.push_back(dmv::sim::element_distance_stats(
+            trace, distances, static_cast<int>(c)));
+      }
+    }
+    if (config.cache) {
+      result.cache = dmv::sim::simulate_cache(trace, *config.cache);
+    }
+    if (config.movement) {
+      result.movement = dmv::sim::physical_movement(trace, result.misses,
+                                                    config.line_size);
+    }
+    hash ^= result_fingerprint(result);
+  }
+  return hash;
+}
+
+// Fingerprint gate shared by the full run and --smoke: the pipeline at 8
+// (oversubscribed) threads must reproduce the standalone passes' full
 // result fingerprint for every consumer subset.
 bool validate_metric_merge(const SweepCase& sweep,
                            const SimulationOptions& options) {
@@ -333,17 +362,13 @@ bool validate_metric_merge(const SweepCase& sweep,
   const dmv::sim::PipelineConfig configs[] = {breakdown_config(),
                                               cache_only};
   for (const dmv::sim::PipelineConfig& config : configs) {
-    std::uint64_t serial = 0;
-    std::uint64_t merged = 0;
-    {
-      dmv::par::ThreadScope scope(1);
-      serial = run_metric_engine(traces, config, /*merged=*/false);
-    }
+    const std::uint64_t standalone = run_standalone(traces, config);
+    std::uint64_t pipelined = 0;
     {
       dmv::par::ThreadScope scope(8);
-      merged = run_metric_engine(traces, config, /*merged=*/true);
+      pipelined = run_metric_engine(traces, config);
     }
-    if (serial != merged) {
+    if (standalone != pipelined) {
       std::cerr << "FATAL: metric merge fingerprint mismatch on "
                 << sweep.name << "\n";
       return false;
@@ -431,19 +456,16 @@ dmv::session::Session fresh_session(const SweepCase& sweep,
   return session;
 }
 
-// Fused-vs-unfused-vs-streaming checksum gate shared by the full run
-// and --smoke. Returns false (and prints) on divergence.
+// Fused-vs-unfused checksum gate shared by the full run and --smoke.
+// Returns false (and prints) on divergence.
 bool validate_ablation(const SweepCase& sweep,
                        const SimulationOptions& options) {
   dmv::par::set_num_threads(1);
   const std::int64_t unfused = run_sweep(sweep, options);
-  const std::int64_t fused = run_fused(sweep, options, /*streaming=*/false);
-  const std::int64_t streaming =
-      run_fused(sweep, options, /*streaming=*/true);
-  if (unfused != fused || unfused != streaming) {
+  const std::int64_t fused = run_fused(sweep, options);
+  if (unfused != fused) {
     std::cerr << "FATAL: pipeline ablation mismatch on " << sweep.name
-              << ": unfused " << unfused << ", fused " << fused
-              << ", streaming " << streaming << "\n";
+              << ": unfused " << unfused << ", fused " << fused << "\n";
     return false;
   }
   // Session identity: cold (prefetching) and warm passes must both
@@ -489,7 +511,7 @@ bool validate_batched_trace(const SweepCase& sweep,
 
 // Serial-vs-parallel trace identity gate: the chunked generator at 8
 // (oversubscribed) threads must reproduce the serial trace checksum for
-// every binding, materialized and streaming alike.
+// every binding.
 bool validate_parallel_trace(const SweepCase& sweep,
                              const SimulationOptions& options) {
   for (const SymbolMap& binding : sweep.bindings) {
@@ -612,12 +634,12 @@ int run_smoke() {
     if (!validate_trace_store(sweep, options)) return 1;
     if (!validate_metric_merge(sweep, options)) return 1;
     std::cout << "smoke " << sweep.name
-              << ": unfused == fused == streaming == session, "
+              << ": unfused == fused == session, "
               << "serial trace == parallel trace (8 threads), "
               << "batched trace (W=4/8) == scalar, "
               << "delta recompute == cold, "
               << "trace store round-trip == source, "
-              << "merged metrics (8 threads) == serial fused\n";
+              << "pipeline metrics (8 threads) == standalone passes\n";
   }
   std::cout << "smoke OK\n";
   return 0;
@@ -706,20 +728,15 @@ int main(int argc, char** argv) {
     std::cout << ")\n";
 
     // Pipeline ablation: same metrics, same engine, 1 thread — the
-    // only variable is fusion/streaming.
-    const Measurement fused = measure(
-        [&] { return run_fused(sweep, compiled, false); }, repetitions);
-    const Measurement streaming = measure(
-        [&] { return run_fused(sweep, compiled, true); }, repetitions);
-    if (fused.checksum != serial_compiled.checksum ||
-        streaming.checksum != serial_compiled.checksum) {
+    // only variable is fusion.
+    const Measurement fused =
+        measure([&] { return run_fused(sweep, compiled); }, repetitions);
+    if (fused.checksum != serial_compiled.checksum) {
       std::cerr << "FATAL: pipeline ablation mismatch on " << sweep.name
                 << "\n";
       return 1;
     }
     const double fused_speedup = serial_compiled.best_ms / fused.best_ms;
-    const double streaming_vs_materialized =
-        fused.best_ms / streaming.best_ms;
 
     // Metrics-only ablation: pre-simulated traces, so the ratio
     // isolates pass fusion + arena reuse from the (identical)
@@ -756,64 +773,52 @@ int main(int argc, char** argv) {
     const double metrics_fused_speedup =
         metrics_unfused.best_ms / metrics_fused.best_ms;
 
-    // Mergeable metric engine breakdown: serial fused pass vs the
-    // partitioned engine, per consumer and for the full set, over the
-    // same pre-simulated traces. Full-result fingerprints gate every
-    // pair. Both headline series run at 1 thread, so the ratio isolates
-    // the engine's single-core wins (SIMD line derivation, flat LRU
-    // arrays, fissioned loops) from pool scaling, which gets its own
-    // series below.
+    // Metric engine breakdown per consumer and for the full set, over
+    // the same pre-simulated traces at 1 thread. Full-result
+    // fingerprints against the standalone passes gate every series.
     struct ConsumerSeries {
       const char* name;
       dmv::sim::PipelineConfig config;
-      Measurement serial;
-      Measurement merged;
+      Measurement engine;
     };
     std::vector<ConsumerSeries> breakdown;
     {
       dmv::sim::PipelineConfig counts_only;
-      breakdown.push_back({"counts", counts_only, {}, {}});
+      breakdown.push_back({"counts", counts_only, {}});
       dmv::sim::PipelineConfig distances_only;
       distances_only.counts = false;
       distances_only.keep_distances = true;
-      breakdown.push_back({"distances", distances_only, {}, {}});
+      breakdown.push_back({"distances", distances_only, {}});
       dmv::sim::PipelineConfig misses_only;
       misses_only.counts = false;
       misses_only.miss_threshold_lines = 512;
-      breakdown.push_back({"misses", misses_only, {}, {}});
+      breakdown.push_back({"misses", misses_only, {}});
       dmv::sim::PipelineConfig stats_only;
       stats_only.counts = false;
       stats_only.element_stats = true;
-      breakdown.push_back({"element_stats", stats_only, {}, {}});
+      breakdown.push_back({"element_stats", stats_only, {}});
       dmv::sim::PipelineConfig cache_only;
       cache_only.counts = false;
       cache_only.cache = dmv::sim::CacheConfig{};
-      breakdown.push_back({"cache", cache_only, {}, {}});
-      breakdown.push_back({"all", breakdown_config(), {}, {}});
+      breakdown.push_back({"cache", cache_only, {}});
+      breakdown.push_back({"all", breakdown_config(), {}});
     }
     dmv::par::set_num_threads(1);
     for (ConsumerSeries& series : breakdown) {
-      series.serial = measure(
+      series.engine = measure(
           [&] {
             return static_cast<std::int64_t>(
-                run_metric_engine(traces, series.config, /*merged=*/false));
+                run_metric_engine(traces, series.config));
           },
           repetitions);
-      series.merged = measure(
-          [&] {
-            return static_cast<std::int64_t>(
-                run_metric_engine(traces, series.config, /*merged=*/true));
-          },
-          repetitions);
-      if (series.serial.checksum != series.merged.checksum) {
+      if (static_cast<std::uint64_t>(series.engine.checksum) !=
+          run_standalone(traces, series.config)) {
         std::cerr << "FATAL: metrics_breakdown fingerprint mismatch on "
                   << sweep.name << " consumer " << series.name << "\n";
         return 1;
       }
     }
     const ConsumerSeries& breakdown_all = breakdown.back();
-    const double breakdown_speedup =
-        breakdown_all.serial.best_ms / breakdown_all.merged.best_ms;
     // Multi-core scaling of the full consumer set (engine partitions
     // track the knob); recorded as skipped on a 1-core runner.
     std::vector<std::pair<int, Measurement>> breakdown_threads;
@@ -822,11 +827,11 @@ int main(int argc, char** argv) {
         dmv::par::set_num_threads(threads);
         const Measurement at_threads = measure(
             [&] {
-              return static_cast<std::int64_t>(run_metric_engine(
-                  traces, breakdown_all.config, /*merged=*/true));
+              return static_cast<std::int64_t>(
+                  run_metric_engine(traces, breakdown_all.config));
             },
             repetitions);
-        if (at_threads.checksum != breakdown_all.serial.checksum) {
+        if (at_threads.checksum != breakdown_all.engine.checksum) {
           std::cerr << "FATAL: metrics_breakdown thread mismatch on "
                     << sweep.name << " at " << threads << " threads\n";
           return 1;
@@ -907,9 +912,9 @@ int main(int argc, char** argv) {
           return run_session_pass(session, sweep);
         },
         repetitions);
-    if (session_cold.checksum != streaming.checksum ||
-        session_warm.checksum != streaming.checksum ||
-        session_prefetched.checksum != streaming.checksum) {
+    if (session_cold.checksum != fused.checksum ||
+        session_warm.checksum != fused.checksum ||
+        session_prefetched.checksum != fused.checksum) {
       std::cerr << "FATAL: session sweep mismatch on " << sweep.name << "\n";
       return 1;
     }
@@ -940,17 +945,16 @@ int main(int argc, char** argv) {
               << pipeline_batched_speedup << "x end to end)\n";
     std::cout << "  ablation: unfused " << serial_compiled.best_ms
               << " ms, fused " << fused.best_ms << " ms ("
-              << fused_speedup << "x), streaming " << streaming.best_ms
-              << " ms (" << streaming_vs_materialized << "x vs fused)\n";
+              << fused_speedup << "x)\n";
     std::cout << "  metrics only: unfused " << metrics_unfused.best_ms
               << " ms, fused " << metrics_fused.best_ms << " ms ("
               << metrics_fused_speedup << "x)\n";
     std::cout << "  metrics breakdown (1 thread, fingerprint-gated):";
     for (const ConsumerSeries& series : breakdown) {
-      std::cout << " " << series.name << " " << series.serial.best_ms
-                << "->" << series.merged.best_ms << " ms";
+      std::cout << " " << series.name << " " << series.engine.best_ms
+                << " ms";
     }
-    std::cout << "  (all: " << breakdown_speedup << "x)\n";
+    std::cout << "\n";
     if (breakdown_threads.empty()) {
       std::cout << "  metrics breakdown scaling: skipped (1 hardware "
                    "thread)\n";
@@ -1006,10 +1010,7 @@ int main(int argc, char** argv) {
     json << "      \"pipeline_ablation\": {\n";
     json << "        \"unfused_ms\": " << serial_compiled.best_ms << ",\n";
     json << "        \"fused_ms\": " << fused.best_ms << ",\n";
-    json << "        \"streaming_ms\": " << streaming.best_ms << ",\n";
     json << "        \"fused_speedup\": " << fused_speedup << ",\n";
-    json << "        \"streaming_vs_materialized\": "
-         << streaming_vs_materialized << ",\n";
     json << "        \"metrics_unfused_ms\": " << metrics_unfused.best_ms
          << ",\n";
     json << "        \"metrics_fused_ms\": " << metrics_fused.best_ms
@@ -1022,18 +1023,11 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < breakdown.size(); ++s) {
       const ConsumerSeries& series = breakdown[s];
       json << "          {\"name\": \"" << series.name
-           << "\", \"serial_ms\": " << series.serial.best_ms
-           << ", \"merged_ms\": " << series.merged.best_ms
-           << ", \"speedup\": "
-           << series.serial.best_ms / series.merged.best_ms << "}"
+           << "\", \"ms\": " << series.engine.best_ms << "}"
            << (s + 1 < breakdown.size() ? "," : "") << "\n";
     }
     json << "        ],\n";
-    json << "        \"serial_ms\": " << breakdown_all.serial.best_ms
-         << ",\n";
-    json << "        \"merged_ms\": " << breakdown_all.merged.best_ms
-         << ",\n";
-    json << "        \"speedup\": " << breakdown_speedup << ",\n";
+    json << "        \"ms\": " << breakdown_all.engine.best_ms << ",\n";
     json << "        \"fingerprint_identical\": true,\n";
     if (breakdown_threads.empty()) {
       json << "        \"thread_scaling\": \"skipped (1 hardware thread)\"\n";
@@ -1041,7 +1035,7 @@ int main(int argc, char** argv) {
       json << "        \"thread_scaling\": [\n";
       for (std::size_t t = 0; t < breakdown_threads.size(); ++t) {
         json << "          {\"threads\": " << breakdown_threads[t].first
-             << ", \"merged_ms\": " << breakdown_threads[t].second.best_ms
+             << ", \"ms\": " << breakdown_threads[t].second.best_ms
              << "}" << (t + 1 < breakdown_threads.size() ? "," : "")
              << "\n";
       }

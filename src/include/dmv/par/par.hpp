@@ -74,6 +74,12 @@ class ThreadScope {
 /// trace planner) can skip it up front.
 bool in_parallel_region();
 
+/// True while another caller's job holds the pool, so a parallel
+/// construct called now would run serially inline (see busy_fallbacks).
+/// A snapshot for callers that pay a fixed cost to set up parallelism;
+/// the answer may change right after it is read.
+bool pool_busy();
+
 /// Number of parallel jobs that ran serially inline because the pool was
 /// busy with another caller's job. The single-job pool never queues: a
 /// second concurrent caller (e.g. one serve session while another is

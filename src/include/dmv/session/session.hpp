@@ -143,8 +143,8 @@ struct SessionStats {
   // of an artifact or cache key.
   double simulate_ms = 0.0;  ///< Trace generation / patch phase ms.
   double metrics_ms = 0.0;   ///< Metric consumption + finalize ms.
-  /// Metric worker partitions of the MOST RECENT evaluation (1 = serial
-  /// fused pass; >1 = the mergeable parallel engine ran).
+  /// Metric worker partitions of the MOST RECENT evaluation (1 = the
+  /// metric engine ran as one segment; >1 = a segmented pass).
   int metric_partitions = 1;
 };
 

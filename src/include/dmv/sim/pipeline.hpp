@@ -1,32 +1,30 @@
 #pragma once
 
-// Fused streaming metric pipeline.
+// Fused metric pipeline.
 //
 // The interactive loop recomputes EVERY derived metric per slider
 // position. Run as separate passes, each metric re-walks the event
 // vector and several re-derive cache-line ids from scratch; the sweep
-// also reallocates every trace buffer, Fenwick tree, and per-element
-// scratch array at every binding. MetricPipeline fuses the per-event
-// metric consumers (access counts, stack distances, miss
-// classification, exact cache simulation, element distance stats,
-// physical movement) into ONE pass over the trace that derives each
-// event's cache line once, and keeps all working memory in an arena
-// that survives across bindings of a sweep.
+// also reallocates every trace buffer and per-line table at every
+// binding. MetricPipeline drives the per-event metric consumers (access
+// counts, stack distances, miss classification, exact cache simulation,
+// element distance stats, physical movement) through one metric engine
+// that derives each event's cache line once, splits the pass into
+// segments and cache-set partitions when the trace is large enough, and
+// keeps its tables in an arena that survives across bindings of a
+// sweep.
 //
-// Two drive modes:
-//   * materialized — run over an AccessTrace (existing or simulated
-//     into the arena's reusable trace buffer);
-//   * streaming — simulate() feeds the consumers directly through an
-//     EventSink, so no event vector is ever allocated: event-storage
-//     memory is O(1) in trace length. Sweep workloads that never
-//     inspect the raw trace use this mode.
+// Three drivers share the engine: run(trace) over an existing trace,
+// run(sdfg) over a trace simulated into the arena's reusable buffer, and
+// run_delta(), which patches and resumes a checkpoint between slider
+// steps (docs/incremental.md).
 //
 // Bit-identical contract: every output equals the corresponding
 // standalone pass (count_accesses, stack_distances, classify_misses,
 // element_distance_stats, simulate_cache, physical_movement) bit for
-// bit, in both modes, at any thread count. The fusion is a pure
-// performance change — enforced by pipeline_test and the CI ablation
-// smoke job.
+// bit, in every driver, at any thread count. Fusion and partitioning
+// are pure performance changes — enforced by pipeline_test,
+// metric_merge_test and the CI ablation smoke job.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,9 +37,9 @@
 
 namespace dmv::sim {
 
-/// Which consumers the fused pass drives. Distances are computed
-/// whenever any consumer needs them (misses, element stats, movement,
-/// or keep_distances).
+/// Which consumers the pipeline drives. Distances are computed whenever
+/// any consumer needs them (misses, element stats, movement, or
+/// keep_distances).
 struct PipelineConfig {
   int line_size = 64;
   /// Per-element read/write counts (count_accesses).
@@ -50,7 +48,7 @@ struct PipelineConfig {
   /// 0 disables (classify_misses).
   std::int64_t miss_threshold_lines = 0;
   /// Store the per-event distance vector (O(events) memory — leave off
-  /// in streaming mode unless the raw distances are needed).
+  /// unless the raw distances are needed).
   bool keep_distances = false;
   /// Per-container ElementDistanceStats (element_distance_stats).
   bool element_stats = false;
@@ -59,19 +57,6 @@ struct PipelineConfig {
   /// Physical movement estimate; requires miss_threshold_lines > 0
   /// (physical_movement).
   bool movement = false;
-  /// Drive materialized runs through the mergeable parallel metric
-  /// engine (partitioned cache sets, two-phase stack distances,
-  /// per-segment consumer partials). Results are bit-identical to the
-  /// serial fused pass, so — like SimulationOptions::lane_width —
-  /// this is a pure execution strategy: NOT part of fingerprint() and
-  /// never in cache keys. The serial pass remains the fallback (and the
-  /// identity reference) whenever the engine cannot run.
-  bool parallel_metrics = true;
-  /// Below this many events the serial fused pass runs even with
-  /// parallel_metrics set (engine setup outweighs the win). Tests and
-  /// benches set 0 to force the engine. Also excluded from
-  /// fingerprint().
-  std::int64_t parallel_metrics_min_events = 8192;
 
   bool needs_distances() const {
     return miss_threshold_lines > 0 || keep_distances || element_stats ||
@@ -79,7 +64,7 @@ struct PipelineConfig {
   }
 };
 
-/// Outputs of one fused pass. Only the consumers enabled in the config
+/// Outputs of one pass. Only the consumers enabled in the config
 /// are populated; the rest stay default-constructed. The result owns
 /// its payload (no aliasing into pipeline arenas) — safe to retain,
 /// share, and cache beyond the pipeline's lifetime.
@@ -119,27 +104,24 @@ struct DeltaOutcome {
   const char* reason = "";
 };
 
-/// Wall-clock breakdown of the most recent run/run_streaming/run_delta
-/// call — observability only (surfaced through session::SessionStats
-/// and dmv_serve `stats`), never part of a result or cache key.
+/// Wall-clock breakdown of the most recent run/run_delta call —
+/// observability only (surfaced through session::SessionStats and
+/// dmv_serve `stats`), never part of a result or cache key.
 struct PhaseTimings {
-  /// Trace generation / patching ms (0 for run(trace); for the fused
-  /// generation+metrics path this covers the overlapped chunk stage,
-  /// including per-chunk line derivation; run_streaming interleaves
-  /// generation and consumption, so its whole cost lands here).
+  /// Trace generation / patching ms (0 for run(trace)).
   double simulate_ms = 0.0;
   /// Metric consumption + finalize ms.
   double metrics_ms = 0.0;
-  /// Largest metric worker-partition count used (1 = serial fused pass).
+  /// Largest metric worker-partition count used (1 = the engine ran as
+  /// one segment: a small trace, one worker, a pool task, or an
+  /// append-only resume).
   int partitions = 1;
 };
 
 /// Stable 64-bit fingerprint of a config, folding in every field that
 /// can change an output. Two configs with equal fingerprints produce
 /// identical results for the same trace; the session layer uses it as
-/// the metric-config component of its cache keys. parallel_metrics and
-/// parallel_metrics_min_events are deliberately excluded — they are
-/// bit-identical execution strategies.
+/// the metric-config component of its cache keys.
 std::uint64_t fingerprint(const PipelineConfig& config);
 
 /// Approximate heap footprint of a result's payload (vectors; the
@@ -149,14 +131,16 @@ std::size_t approx_size_bytes(const PipelineResult& result);
 
 /// Drives every enabled metric in one fused pass over a trace.
 ///
-/// Ownership: the pipeline owns an internal arena (trace buffer, line
-/// tables, Fenwick tree, per-element scratch) that persists across run
-/// calls — that reuse is the point. Returned PipelineResults own their
+/// Ownership: the pipeline owns an internal arena (trace buffer, the
+/// engine's last-seen table, Fenwick tree, cache sets and tallies) that
+/// persists across run calls — that reuse is the point. Per-event
+/// scratch (line ids, distances, segment partials) lives only for the
+/// duration of one call. Returned PipelineResults own their
 /// payload outright and never alias the arena; they stay valid after the
 /// pipeline is destroyed.
 ///
-/// Thread safety: a MetricPipeline is NOT thread-safe — run/run_streaming/
-/// run_delta mutate the shared arena, so give each concurrent caller its
+/// Thread safety: a MetricPipeline is NOT thread-safe — run/run_delta
+/// mutate the shared arena, so give each concurrent caller its
 /// own instance (the session prefetcher keeps one per pool slot). Calls
 /// are internally serial; results are bit-identical at any
 /// dmv::par::num_threads() setting.
@@ -171,13 +155,12 @@ class MetricPipeline {
 
   const PipelineConfig& config() const { return config_; }
 
-  /// Fused single pass over an existing trace. The LineTable and all
-  /// per-line/per-element scratch come from the arena (reused across
-  /// calls).
+  /// One pass over an existing trace. Line bounds widen to the observed
+  /// ids, so hand-built traces with out-of-buffer addresses are exact.
   PipelineResult run(const AccessTrace& trace);
 
   /// Simulates into the arena's reusable trace buffer, then runs the
-  /// fused pass. One binding of a materialized sweep.
+  /// pass. One binding of a materialized sweep.
   PipelineResult run(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options = {});
 
@@ -186,28 +169,17 @@ class MetricPipeline {
   /// changed. The engine plans the trace at fine fixed granularity,
   /// classifies each chunk clean/dirty against the binding delta
   /// (chunk_dependencies), splices clean event slices from the
-  /// checkpointed trace, re-simulates only dirty chunks, and patches the
-  /// fused metric state — resuming it in place for append-only steps.
+  /// checkpointed trace, re-simulates only dirty chunks, and reruns the
+  /// metric pass — resuming it in place for append-only steps.
   /// `program_version` is the caller's fingerprint of the Sdfg structure
   /// (the session layer passes its program hash); a mismatch, an options
   /// change, or an unparallelizable plan falls back to the cold path.
-  /// Interleaving run()/run_streaming() calls invalidates the
-  /// checkpoint. Outcome reporting via `outcome` is optional.
+  /// Interleaving run() calls invalidates the checkpoint. Outcome
+  /// reporting via `outcome` is optional.
   PipelineResult run_delta(const Sdfg& sdfg, std::uint64_t program_version,
                            const SymbolMap& symbols,
                            const SimulationOptions& options = {},
                            DeltaOutcome* outcome = nullptr);
-
-  /// Streaming: the simulator feeds the fused consumers event by event;
-  /// no event vector (and no LineTable column) is allocated —
-  /// event_storage_bytes() stays 0.
-  PipelineResult run_streaming(const Sdfg& sdfg, const SymbolMap& symbols,
-                               const SimulationOptions& options = {});
-
-  /// Bytes reserved by the arena's event columns: >0 after a
-  /// materialized run, exactly 0 after streaming-only use — the
-  /// O(1)-event-memory contract the streaming test asserts.
-  std::size_t event_storage_bytes() const;
 
   /// Out-of-core mode: after each materialized run whose arena event
   /// columns exceed `budget_bytes`, they are packed to a compressed
@@ -219,8 +191,8 @@ class MetricPipeline {
   /// part of fingerprint() and never enters cache keys.
   void set_spill(std::size_t budget_bytes, std::string dir);
 
-  /// Phase breakdown of the most recent run/run_streaming/run_delta
-  /// call (see PhaseTimings).
+  /// Phase breakdown of the most recent run/run_delta call (see
+  /// PhaseTimings).
   const PhaseTimings& last_timings() const { return timings_; }
 
  private:
@@ -231,11 +203,6 @@ class MetricPipeline {
   std::string spill_dir_;
   PhaseTimings timings_;
 
-  bool try_run_mergeable(const AccessTrace& trace, PipelineResult& result,
-                         int& partitions);
-  bool try_run_fused_generation(const Sdfg& sdfg, const SymbolMap& symbols,
-                                const SimulationOptions& options,
-                                PipelineResult& result);
   void maybe_spill();
 };
 

@@ -53,6 +53,9 @@ class Pool {
   /// holds the pool: the single-job pool never queues, so a concurrent
   /// caller degrades to its serial fallback instead of blocking for the
   /// whole foreign job (interactive p99 over throughput).
+  /// True while some thread's job holds the pool.
+  bool busy() const { return busy_.load(std::memory_order_relaxed); }
+
   bool run(std::size_t count, const std::function<void(std::size_t)>& task,
            const std::function<void()>* on_caller = nullptr) {
     std::unique_lock<std::mutex> run_lock(run_mutex_, std::try_to_lock);
@@ -60,9 +63,23 @@ class Pool {
       busy_fallback_count().fetch_add(1, std::memory_order_relaxed);
       return false;
     }
+    struct BusyFlag {
+      std::atomic<bool>& flag;
+      explicit BusyFlag(std::atomic<bool>& f) : flag(f) {
+        flag.store(true, std::memory_order_relaxed);
+      }
+      ~BusyFlag() { flag.store(false, std::memory_order_relaxed); }
+    } busy(busy_);
     ensure_workers(num_threads() - 1);
     {
-      std::lock_guard<std::mutex> lock(mutex_);
+      // A worker that woke late for the previous job may still be in
+      // drain(), reading the counters without the lock; resetting them
+      // under its feet can reset completed_ after it counted a task of
+      // this job, and the wait below would never end. Wait it out: a
+      // worker only enters drain() with the lock held, so none can be
+      // inside once draining_ reads 0 here.
+      std::unique_lock<std::mutex> lock(mutex_);
+      job_done_.wait(lock, [&] { return draining_ == 0; });
       task_ = &task;
       count_ = count;
       next_.store(0, std::memory_order_relaxed);
@@ -154,6 +171,7 @@ class Pool {
   }
 
   std::mutex run_mutex_;  ///< Serializes whole jobs.
+  std::atomic<bool> busy_{false};  ///< A job holds run_mutex_.
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable job_done_;
@@ -189,6 +207,8 @@ ThreadScope::ThreadScope(int threads) : previous_(num_threads()) {
 ThreadScope::~ThreadScope() { set_num_threads(previous_); }
 
 bool in_parallel_region() { return in_pool_task; }
+
+bool pool_busy() { return Pool::instance().busy(); }
 
 std::uint64_t busy_fallbacks() {
   return busy_fallback_count().load(std::memory_order_relaxed);

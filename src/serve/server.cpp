@@ -268,8 +268,8 @@ struct Server::Impl {
   }
 
   // A binding the program cannot run under — an unbound symbol, a
-  // non-positive extent or step — is the client's fault: bad_request,
-  // not internal.
+  // non-positive extent or step, an access past a fixed capacity — is
+  // the client's fault: bad_request, not internal.
   static std::shared_ptr<const sim::PipelineResult> evaluate_step(
       session::Session& session) {
     try {
@@ -277,6 +277,8 @@ struct Server::Impl {
     } catch (const symbolic::UnboundSymbolError& error) {
       throw RequestError("bad_request", error.what());
     } catch (const std::invalid_argument& error) {
+      throw RequestError("bad_request", error.what());
+    } catch (const std::out_of_range& error) {
       throw RequestError("bad_request", error.what());
     }
   }

@@ -1,38 +1,41 @@
 #pragma once
 
-// Mergeable parallel metric engine (internal; include only from src/sim).
+// The metric engine (internal; include only from src/sim).
 //
-// The serial FusedPass in pipeline.cpp advances every enabled consumer
-// with one per-event consume() call — exact, but the last serial stage
-// of a cold slider step. This module re-expresses the same pass as
-// independently computable, deterministically mergeable pieces:
+// Every MetricPipeline driver consumes events through the kernels in
+// this module; the standalone passes (stack_distance.cpp,
+// cache_model.cpp, related.cpp, movement.cpp) stay separate as the
+// independent oracles the tests compare against. The kernels:
 //
 //   * line-id derivation — a vectorization-friendly affine kernel over
 //     the SoA columns (per-container base/element-size tables, shift
 //     instead of hardware division for power-of-two line sizes);
-//   * stack distances — two phases: a parallel previous-occurrence pass
-//     (per-slice local last-seen tables stitched left to right), then
-//     parallel Fenwick counting over disjoint event segments, each
-//     segment bulk-rebuilding the exact serial Fenwick state at its
-//     start from the next-occurrence array;
+//   * stack distances — Olken's last-seen table plus a Fenwick tree of
+//     most-recent positions. One segment runs the loop directly; N
+//     segments first build prev[] (per-slice local last-seen tables
+//     stitched left to right), then count each segment on a Fenwick
+//     bulk-rebuilt at its start from the next-occurrence array;
 //   * exact LRU cache — partitioned by cache set: a line maps to
 //     exactly one set, so each worker scans the whole line column but
 //     touches only its sets and per-set LRU order is preserved exactly;
 //   * order-insensitive consumers (counts, miss classification,
-//     element-stat pairs) — per-segment partial tallies reduced in
-//     ascending segment order by integer addition.
+//     element-stat pairs) — per-segment tallies reduced in ascending
+//     segment order by integer addition and concatenation.
 //
-// Exactness, not approximation: every piece computes the same integers
-// the serial pass computes, and every reduction is an order-fixed
-// integer merge — so results are bit-identical to FusedPass at any
-// (thread, segment, partition) combination. pipeline.cpp owns engine
-// selection and falls back to FusedPass when the engine cannot run
-// (see MetricPipeline and docs/simulation.md).
+// Two drivers share the kernels. consume_all() runs a fresh pass over a
+// whole trace, in N segments when the trace is large enough and one
+// otherwise; consume_suffix() resumes a previous pass and consumes only
+// the appended events, one segment in fixed-size blocks. Every result
+// is the same integers at any (thread, segment, partition) count.
+//
+// State: `Live` is everything that survives a call — the resumable
+// state of one pass. Per-event scratch (line ids, prev/next, distances,
+// segment tallies) is local to one call; the single-segment driver
+// needs none beyond its fixed-size block buffers.
 
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -43,35 +46,100 @@
 
 namespace dmv::sim::merge {
 
-// Fenwick tree with an int32 node type (marks sum to at most the event
-// count, which the engine caps at INT32_MAX) and an O(capacity) bulk
-// initializer — half the cache footprint of detail::Fenwick and no
-// per-mark tree walks when reconstructing a segment's start state.
-class Fenwick32 {
+// line -> most recent event position (-1 = not seen). Dense over the
+// line span when that is reasonable, hash otherwise.
+class LocalSeen {
  public:
-  /// Zeroes and guarantees capacity for positions [0, n), then marks
-  /// every position j < marked_prefix with next[j] >= threshold — the
-  /// exact serial invariant "j carries a mark iff j is the most recent
-  /// occurrence of its line among the first `threshold` events". Linear
-  /// build: leaf values then parent propagation. `next` may be null
-  /// when marked_prefix == 0.
-  void reset_marked(std::size_t n, const std::int64_t* next,
-                    std::size_t marked_prefix, std::int64_t threshold) {
-    if (n > capacity_) capacity_ = std::max<std::size_t>(n, 1024);
-    marks_.assign(capacity_, 0);
-    tree_.assign(capacity_ + 1, 0);
-    for (std::size_t j = 0; j < marked_prefix; ++j) {
-      if (next[j] >= threshold) marks_[j] = 1;
-    }
-    for (std::size_t i = 1; i <= capacity_; ++i) tree_[i] += marks_[i - 1];
-    for (std::size_t i = 1; i <= capacity_; ++i) {
-      const std::size_t parent = i + (i & (~i + 1));
-      if (parent <= capacity_) tree_[parent] += tree_[i];
+  void reset_dense(std::int64_t lo, std::int64_t span) {
+    dense_ = true;
+    lo_ = lo;
+    values_.assign(static_cast<std::size_t>(span), -1);
+    hash_ = {};
+  }
+  void reset_hash(std::size_t expected) {
+    dense_ = false;
+    values_ = {};
+    hash_.clear();
+    hash_.reserve(expected);
+  }
+  /// Stores `value` for `line`, returning the previous value (-1 when
+  /// the line was not seen yet).
+  std::int64_t exchange(std::int64_t line, std::int64_t value) {
+    std::int64_t& slot =
+        dense_ ? values_[static_cast<std::size_t>(line - lo_)]
+               : hash_.try_emplace(line, -1).first->second;
+    const std::int64_t previous = slot;
+    slot = value;
+    return previous;
+  }
+  std::int64_t get(std::int64_t line) const {
+    if (dense_) return values_[static_cast<std::size_t>(line - lo_)];
+    const auto it = hash_.find(line);
+    return it == hash_.end() ? -1 : it->second;
+  }
+  /// Calls fn(position) for every line seen so far.
+  template <typename Fn>
+  void for_each_position(Fn&& fn) const {
+    if (dense_) {
+      for (const std::int64_t position : values_) {
+        if (position >= 0) fn(position);
+      }
+    } else {
+      for (const auto& [line, position] : hash_) fn(position);
     }
   }
 
-  // marks_ is only a staging buffer for reset_marked's linear build;
-  // queries read tree_ alone, so add() does not maintain it.
+ private:
+  bool dense_ = true;
+  std::int64_t lo_ = 0;
+  std::vector<std::int64_t> values_;
+  std::unordered_map<std::int64_t, std::int64_t> hash_;
+};
+
+// Fenwick tree over event positions; a mark at p means "some line's
+// most recent access is at p". Nodes are int32: a node sums a subset of
+// the marks, and there is one mark per distinct line seen, so a node
+// never exceeds the distinct-line count. Dense line spans are capped at
+// 2^26 lines; the hash path checks the count against INT32_MAX (see
+// metric_merge.cpp). Both bulk builds are O(capacity): leaf values,
+// then one parent-propagation sweep.
+class Fenwick32 {
+ public:
+  /// Zeroes positions [0, n), then marks every j < marked_prefix with
+  /// next[j] >= threshold — the serial state "j carries a mark iff j is
+  /// the most recent occurrence of its line among the first `threshold`
+  /// events". `next` may be null when marked_prefix == 0. Returns the
+  /// number of marks.
+  std::int64_t reset_marked(std::size_t n, const std::int32_t* next,
+                            std::size_t marked_prefix,
+                            std::int64_t threshold) {
+    tree_.assign(n + 1, 0);
+    std::int64_t marks = 0;
+    for (std::size_t j = 0; j < marked_prefix; ++j) {
+      if (next[j] >= threshold) {
+        tree_[j + 1] = 1;
+        ++marks;
+      }
+    }
+    build();
+    return marks;
+  }
+
+  /// Zeroes positions [0, n) and marks every position `last_seen`
+  /// holds. Returns the number of marks (distinct lines).
+  std::int64_t reset_from(std::size_t n, const LocalSeen& last_seen) {
+    tree_.assign(n + 1, 0);
+    std::int64_t marks = 0;
+    last_seen.for_each_position([&](std::int64_t position) {
+      tree_[static_cast<std::size_t>(position) + 1] = 1;
+      ++marks;
+    });
+    build();
+    return marks;
+  }
+
+  std::size_t capacity() const { return tree_.empty() ? 0 : tree_.size() - 1; }
+
   void add(std::size_t position, int delta) {
     for (std::size_t i = position + 1; i < tree_.size(); i += i & (~i + 1)) {
       tree_[i] += delta;
@@ -87,216 +155,91 @@ class Fenwick32 {
     return sum;
   }
 
-  /// Sum of marks in [from, to] (inclusive).
-  std::int64_t range(std::size_t from, std::size_t to) const {
-    if (from > to) return 0;
-    return prefix(to) - (from == 0 ? 0 : prefix(from - 1));
-  }
-
  private:
-  std::vector<std::int32_t> tree_;  ///< 1-based; size capacity_ + 1.
-  std::vector<std::int8_t> marks_;
-  std::size_t capacity_ = 0;
+  void build() {
+    const std::size_t size = tree_.size();
+    for (std::size_t i = 1; i < size; ++i) {
+      const std::size_t parent = i + (i & (~i + 1));
+      if (parent < size) tree_[parent] += tree_[i];
+    }
+  }
+
+  std::vector<std::int32_t> tree_;  ///< 1-based; size capacity + 1.
 };
 
-/// Balanced contiguous split of [0, n): at most max_parts parts, none
-/// smaller than min_grain (fewer parts for small n, never 0 for n > 0).
-inline std::size_t segment_count(std::size_t n, std::size_t max_parts,
-                                 std::size_t min_grain) {
-  if (n == 0) return 0;
-  if (min_grain == 0) min_grain = 1;
-  const std::size_t cap = (n + min_grain - 1) / min_grain;
-  return std::max<std::size_t>(1, std::min(max_parts, cap));
-}
-
-/// k-th boundary of the balanced split of [0, n) into `parts` parts:
-/// segment k is [segment_begin(n, parts, k), segment_begin(n, parts,
-/// k + 1)). Depends only on (n, parts).
-inline std::size_t segment_begin(std::size_t n, std::size_t parts,
-                                 std::size_t k) {
-  return n / parts * k + std::min(k, n % parts);
-}
-
-// One distinct line's first and last occurrence inside a slice — the
-// only state the left-to-right stitch needs from a slice.
-struct Boundary {
-  std::int64_t line = 0;
-  std::int64_t first = 0;
-  std::int64_t last = 0;
-};
-
-// Slice-local line -> most recent position table. Dense over the line
-// span when the per-slot memory is reasonable, hash otherwise.
-class LocalSeen {
- public:
-  void reset_dense(std::int64_t lo, std::int64_t span) {
-    dense_ = true;
-    lo_ = lo;
-    values_.assign(static_cast<std::size_t>(span), -1);
-    hash_.clear();
-  }
-  void reset_hash(std::size_t expected) {
-    dense_ = false;
-    values_.clear();
-    hash_.clear();
-    hash_.reserve(expected);
-  }
-  /// Stores `value` for `line`, returning the previous value (-1 when
-  /// the line was not seen in this slice yet).
-  std::int64_t exchange(std::int64_t line, std::int64_t value) {
-    std::int64_t& slot =
-        dense_ ? values_[static_cast<std::size_t>(line - lo_)]
-               : hash_.try_emplace(line, -1).first->second;
-    const std::int64_t previous = slot;
-    slot = value;
-    return previous;
-  }
-  std::int64_t get(std::int64_t line) const {
-    if (dense_) return values_[static_cast<std::size_t>(line - lo_)];
-    const auto it = hash_.find(line);
-    return it == hash_.end() ? -1 : it->second;
-  }
-
- private:
-  bool dense_ = true;
-  std::int64_t lo_ = 0;
-  std::vector<std::int64_t> values_;
-  std::unordered_map<std::int64_t, std::int64_t> hash_;
-};
-
-// Per-segment partial state of the order-insensitive consumers; merged
-// into the result by integer addition in ascending segment order
-// (finite element-stat pairs concatenate in the same order, which
-// reproduces the serial event order exactly).
-struct ConsumerPartial {
+// Per-event consumer outputs before finalization: the resumable tallies
+// of a pass, and the shape of each segment's partial tallies. Only the
+// vectors of enabled consumers are sized.
+struct Tallies {
+  std::int64_t events = 0;
+  std::int64_t executions = 0;
   std::vector<std::vector<std::int64_t>> reads;           // [container][elem]
   std::vector<std::vector<std::int64_t>> writes;          // [container][elem]
   std::vector<std::vector<std::int64_t>> element_misses;  // [container][elem]
   std::vector<std::vector<std::int64_t>> cold;            // [container][elem]
   std::vector<MissStats> misses;                          // [container]
+  /// (flat, distance) pairs of finite-distance events, in event order.
   std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>>
       finite;                                             // [container]
+  std::vector<MissStats> cache;                           // [container]
+  std::vector<std::int64_t> distances;  ///< keep_distances only.
+
+  /// Zeroes the tallies and sizes those of the consumers `config`
+  /// enables; the others are emptied.
+  void reset(const PipelineConfig& config,
+             const std::vector<layout::ConcreteLayout>& layouts);
 };
 
-// Exact LRU state of the contiguous set range owned by one cache
-// partition. Small associativities use a flat MRU-first array per set
-// (line ids are non-negative, -1 marks an empty way); larger ones fall
-// back to the list + hash structure of the serial consumer.
+// Exact LRU state of every cache set. Small associativities use a flat
+// MRU-first array per set (line ids are non-negative, -1 marks an empty
+// way); larger ones use a list + hash per set. Set partitions work on
+// disjoint set ranges of the same arrays.
 struct WideSet {
   std::list<std::int64_t> lru;
   std::unordered_map<std::int64_t, std::list<std::int64_t>::iterator> where;
 };
-struct CachePartition {
-  std::vector<MissStats> per_container;
-  std::vector<std::int64_t> small;  ///< [local_set * ways + way].
-  std::vector<WideSet> wide;        ///< [local_set].
+struct CacheState {
+  detail::CacheGeometry geometry;
+  std::vector<std::int64_t> small;  ///< [set * ways + way].
+  std::vector<WideSet> wide;        ///< [set].
+  std::vector<std::uint8_t> seen;   ///< Cache line ever resident.
+  std::int64_t seen_lo = 0;
 };
 
-// All engine scratch, owned by the pipeline arena so slider sweeps pay
-// the allocations once. Contents are meaningless between calls.
-struct Scratch {
-  std::vector<std::int64_t> lines;        ///< Distance-granularity ids.
-  std::vector<std::int64_t> cache_lines;  ///< Only for a second line size.
-  std::vector<std::int64_t> prev;         ///< Previous occurrence or -1.
-  std::vector<std::int64_t> next;         ///< Next occurrence or INT64_MAX.
-  std::vector<std::int64_t> distances;
-  std::vector<std::int64_t> global_last;  ///< Stitch table, dense over span.
-  std::vector<LocalSeen> local_seen;              // Per slot.
-  std::vector<std::vector<Boundary>> boundaries;  // Per slot.
-  std::vector<Fenwick32> fenwicks;                // Per distance segment.
-  std::vector<ConsumerPartial> partials;          // Per consumer segment.
-  std::vector<CachePartition> cache_parts;        // Per cache partition.
-  std::vector<std::uint8_t> seen;                 ///< Cache line ever resident.
-  /// Merged (flat, distance) pairs per container + counting-sort scratch.
-  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> finite;
-  std::vector<std::int64_t> offsets;
-  std::vector<std::int64_t> sorted;
+// The resumable state of one pass: what consume_suffix() needs to go on
+// exactly where the producing pass stopped.
+struct Live {
+  Tallies tallies;
+  LocalSeen last_seen;      ///< Distance-granularity line -> last position.
+  Fenwick32 fenwick;        ///< Marks at every line's last position.
+  std::int64_t distinct = 0;  ///< Marks in `fenwick`.
+  CacheState cache;
 };
 
-// Per-event line-id derivation with a vectorization-friendly fast path:
-// when every layout is contiguous at a non-negative base and the line
-// size is a power of two, line = (base[c] + flat * esize[c]) >> shift —
-// a branchless affine gather loop the compiler can unroll and
-// vectorize, with no hardware division. Other layouts take the general
-// ContainerAddressing path per event.
-class LineDeriver {
- public:
-  void reset(const std::vector<layout::ConcreteLayout>& layouts,
-             int line_size);
-  void derive(const std::int32_t* containers, const std::int64_t* flats,
-              std::size_t begin, std::size_t end, std::int64_t* out) const;
+/// Fresh pass over every event of `trace`: resets `live` and consumes
+/// events [0, n). N segments when the trace is large enough, the caller
+/// is not inside a pool task and the distance line span is dense; one
+/// segment otherwise. `widen` widens the layout-derived line bounds to
+/// the observed ids (hand-built traces with out-of-buffer addresses);
+/// simulator output never needs it. Throws std::invalid_argument for a
+/// cache line span too sparse for the dense `seen` table. Returns the
+/// largest worker-partition count used (1 = one segment).
+int consume_all(const PipelineConfig& config, const AccessTrace& trace,
+                bool widen, Live& live);
 
- private:
-  std::vector<detail::ContainerAddressing> addressing_;
-  std::vector<std::int64_t> base_;
-  std::vector<std::int64_t> esize_;
-  int line_size_ = 64;
-  int shift_ = -1;  ///< >= 0 selects the affine fast path.
-};
+/// Append-only resume: consumes events [live.tallies.events, n) of
+/// `trace` into `live`, which must hold the state of a pass over the
+/// first live.tallies.events events of the same trace under the same
+/// layouts. Single segment, fixed-size blocks.
+void consume_suffix(const PipelineConfig& config, const AccessTrace& trace,
+                    Live& live);
 
-// Phase A of the two-phase stack distances: prev[i] = position of the
-// previous access to event i's line, or -1. Slices are processed in
-// parallel (local_slice, any order, disjoint writes); stitch_slice then
-// runs once per slice in ascending slice order on one thread, resolving
-// each slice's first-occurrence boundaries against the running global
-// last-seen table. The fused-generation driver calls the two halves
-// from ordered_pipeline's produce/consume; compute_prev below is the
-// standalone driver for materialized traces.
-class PrevBuilder {
- public:
-  /// `slots` = number of concurrently live local tables (window size
-  /// for the fused driver, one per segment for the standalone pass).
-  void begin(Scratch& scratch, std::size_t n, std::int64_t lo,
-             std::int64_t span, std::size_t slots);
-  void local_slice(Scratch& scratch, const std::int64_t* lines,
-                   std::size_t begin, std::size_t end,
-                   std::size_t slot) const;
-  void stitch_slice(Scratch& scratch, std::size_t slot) const;
-
- private:
-  std::int64_t lo_ = 0;
-  std::int64_t span_ = 0;
-  bool dense_local_ = true;
-};
-
-/// Standalone phase-A driver over a materialized line column.
-void compute_prev(Scratch& scratch, std::span<const std::int64_t> lines,
-                  std::int64_t lo, std::int64_t span);
-
-/// True when finish_pass will split phase B into more than one segment
-/// for `n` events at the current thread count — i.e. when phase A's
-/// prev array is actually read. At one distance segment finish_pass
-/// runs a fused last-seen Olken loop directly over the line column and
-/// never touches `prev`, so callers skip compute_prev entirely (one
-/// full event scan saved — the 1-worker bench case).
-bool needs_prev_pass(std::size_t n);
-
-/// Widens layout-derived dense bounds [lo, hi] to the observed line ids
-/// (parallel min/max reduce) — the mergeable counterpart of the serial
-/// path's widening scan for hand-built traces.
-void widen_bounds(std::span<const std::int64_t> lines, std::int64_t& lo,
-                  std::int64_t& hi);
-
-/// Runs everything after phase A — distance counting (phase B), the
-/// set-partitioned cache, the order-insensitive consumer segments, the
-/// ordered merge, and finalization — and fills `result` completely
-/// (identical to FusedPass::finish on the same trace). `scratch.prev`
-/// must already hold phase A's output when the config needs distances
-/// and needs_prev_pass(n) is true; with one distance segment the pass
-/// counts straight off `lines` (over [distance_lo, distance_lo +
-/// distance_span)) and prev is never read. `lines`/`cache_lines` must
-/// hold the derived ids for the consumers that need them. `partitions`
-/// reports the largest worker-partition count used by any phase (1 =
-/// everything ran as a single segment).
-void finish_pass(const PipelineConfig& config, const AccessTrace& header,
-                 std::span<const std::int32_t> containers,
-                 std::span<const std::int64_t> flats,
-                 std::span<const std::uint8_t> writes,
-                 std::span<const std::int64_t> lines,
-                 std::int64_t distance_lo, std::int64_t distance_span,
-                 std::span<const std::int64_t> cache_lines,
-                 std::int64_t cache_lo, std::int64_t cache_span,
-                 std::int64_t executions, Scratch& scratch,
-                 PipelineResult& result, int& partitions);
+/// The caller-facing result of a pass: the tallies plus the folded
+/// totals, element statistics and movement. Per-element tallies are
+/// moved out when `spend` is set (the pass will not be resumed) and
+/// copied otherwise. `header` supplies the container names and layouts.
+PipelineResult finalize(const PipelineConfig& config,
+                        const AccessTrace& header, Tallies& tallies,
+                        bool spend);
 
 }  // namespace dmv::sim::merge

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "reference_trace.hpp"
+#include "standalone_reference.hpp"
 
 // Determinism contract of the parallel engine: every metric pass and the
 // simulator must be BIT-IDENTICAL to the serial baseline — parallelism,
@@ -259,9 +261,9 @@ TEST(Determinism, MetricPassesBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, FusedPipelineBitIdenticalAcrossThreadCounts) {
-  // The fused pass itself is serial, but its inputs (simulation,
-  // LineTable) and the standalone passes it must match are parallel —
-  // the whole pipeline must not depend on the thread knob.
+  // The pipeline splits its pass into more segments and cache-set
+  // partitions as threads grow; every driver must still match the
+  // standalone passes exactly at 1 and 8 threads.
   const ir::Sdfg sdfg =
       workloads::hdiff(workloads::HdiffVariant::Baseline);
   const symbolic::SymbolMap binding{{"I", 12}, {"J", 12}, {"K", 6}};
@@ -273,39 +275,18 @@ TEST(Determinism, FusedPipelineBitIdenticalAcrossThreadCounts) {
   config.cache = CacheConfig{};
   config.movement = true;
 
-  PipelineResult serial;
-  PipelineResult parallel;
-  {
-    par::ThreadScope scope(1);
+  const AccessTrace trace = simulate(sdfg, binding);
+  const PipelineResult expected = standalone_result(trace, config);
+  for (const int threads : {1, 8}) {
+    par::ThreadScope scope(threads);
     MetricPipeline pipeline(config);
-    serial = pipeline.run(sdfg, binding);
+    const std::string context = "threads " + std::to_string(threads);
+    expect_results_equal(pipeline.run(sdfg, binding), expected,
+                         context + " run(sdfg)");
+    expect_results_equal(
+        pipeline.run_delta(sdfg, /*program_version=*/1, binding), expected,
+        context + " run_delta");
   }
-  {
-    par::ThreadScope scope(8);
-    MetricPipeline pipeline(config);
-    parallel = pipeline.run_streaming(sdfg, binding);
-  }
-
-  EXPECT_EQ(serial.events, parallel.events);
-  EXPECT_EQ(serial.executions, parallel.executions);
-  EXPECT_EQ(serial.counts.reads, parallel.counts.reads);
-  EXPECT_EQ(serial.counts.writes, parallel.counts.writes);
-  EXPECT_EQ(serial.distances.distances, parallel.distances.distances);
-  EXPECT_EQ(serial.misses.element_misses, parallel.misses.element_misses);
-  expect_stats_equal(serial.misses.total, parallel.misses.total);
-  expect_stats_equal(serial.cache.total, parallel.cache.total);
-  ASSERT_EQ(serial.element_stats.size(), parallel.element_stats.size());
-  for (std::size_t c = 0; c < serial.element_stats.size(); ++c) {
-    EXPECT_EQ(serial.element_stats[c].min, parallel.element_stats[c].min);
-    EXPECT_EQ(serial.element_stats[c].median,
-              parallel.element_stats[c].median);
-    EXPECT_EQ(serial.element_stats[c].max, parallel.element_stats[c].max);
-    EXPECT_EQ(serial.element_stats[c].cold_count,
-              parallel.element_stats[c].cold_count);
-  }
-  EXPECT_EQ(serial.movement.bytes_per_container,
-            parallel.movement.bytes_per_container);
-  EXPECT_EQ(serial.movement.total_bytes, parallel.movement.total_bytes);
 }
 
 TEST(Determinism, RelatedAccessesBitIdenticalAcrossThreadCounts) {

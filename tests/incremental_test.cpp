@@ -2,8 +2,8 @@
 //
 // The overarching invariant mirrors the session layer's: the delta
 // engine is a pure performance layer. MetricPipeline::run_delta must
-// produce results bit-identical to a cold run(sdfg, symbols, options)
-// for EVERY binding step — whether the step was satisfied by the
+// produce results bit-identical to the standalone metric passes over a
+// cold simulate(sdfg, symbols, options) for EVERY binding step — whether the step was satisfied by the
 // no-change fast path, a chunk-level splice, a resumed metric
 // checkpoint, or a full cold fallback — at any thread count and any
 // lane width. On top of identity, the suite pins the classification
@@ -28,6 +28,7 @@
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/symbolic/expr.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv::sim {
 namespace {
@@ -47,53 +48,11 @@ PipelineConfig full_config() {
   return config;
 }
 
-void expect_identical(const PipelineResult& a, const PipelineResult& b) {
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.executions, b.executions);
-  EXPECT_EQ(a.containers, b.containers);
-  EXPECT_EQ(a.counts.reads, b.counts.reads);
-  EXPECT_EQ(a.counts.writes, b.counts.writes);
-  EXPECT_EQ(a.distances.line_size, b.distances.line_size);
-  EXPECT_EQ(a.distances.distances, b.distances.distances);
-  EXPECT_EQ(a.misses.threshold_lines, b.misses.threshold_lines);
-  EXPECT_EQ(a.misses.element_misses, b.misses.element_misses);
-  EXPECT_EQ(a.misses.total.cold, b.misses.total.cold);
-  EXPECT_EQ(a.misses.total.capacity, b.misses.total.capacity);
-  EXPECT_EQ(a.misses.total.hits, b.misses.total.hits);
-  ASSERT_EQ(a.misses.per_container.size(), b.misses.per_container.size());
-  for (std::size_t c = 0; c < a.misses.per_container.size(); ++c) {
-    EXPECT_EQ(a.misses.per_container[c].cold, b.misses.per_container[c].cold);
-    EXPECT_EQ(a.misses.per_container[c].capacity,
-              b.misses.per_container[c].capacity);
-    EXPECT_EQ(a.misses.per_container[c].hits, b.misses.per_container[c].hits);
-  }
-  ASSERT_EQ(a.element_stats.size(), b.element_stats.size());
-  for (std::size_t c = 0; c < a.element_stats.size(); ++c) {
-    EXPECT_EQ(a.element_stats[c].min, b.element_stats[c].min);
-    EXPECT_EQ(a.element_stats[c].median, b.element_stats[c].median);
-    EXPECT_EQ(a.element_stats[c].max, b.element_stats[c].max);
-    EXPECT_EQ(a.element_stats[c].cold_count, b.element_stats[c].cold_count);
-  }
-  EXPECT_EQ(a.cache.total.cold, b.cache.total.cold);
-  EXPECT_EQ(a.cache.total.capacity, b.cache.total.capacity);
-  EXPECT_EQ(a.cache.total.hits, b.cache.total.hits);
-  ASSERT_EQ(a.cache.per_container.size(), b.cache.per_container.size());
-  for (std::size_t c = 0; c < a.cache.per_container.size(); ++c) {
-    EXPECT_EQ(a.cache.per_container[c].cold, b.cache.per_container[c].cold);
-    EXPECT_EQ(a.cache.per_container[c].capacity,
-              b.cache.per_container[c].capacity);
-    EXPECT_EQ(a.cache.per_container[c].hits, b.cache.per_container[c].hits);
-  }
-  EXPECT_EQ(a.movement.line_size, b.movement.line_size);
-  EXPECT_EQ(a.movement.bytes_per_container, b.movement.bytes_per_container);
-  EXPECT_EQ(a.movement.total_bytes, b.movement.total_bytes);
-}
-
-// Cold reference: a fresh pipeline per call, no checkpoint anywhere.
+// Cold reference: the standalone metric passes over a fresh
+// simulation — no pipeline, no checkpoint anywhere.
 PipelineResult reference(const ir::Sdfg& sdfg, const SymbolMap& binding,
                          const SimulationOptions& options) {
-  MetricPipeline pipeline(full_config());
-  return pipeline.run(sdfg, binding, options);
+  return standalone_result(simulate(sdfg, binding, options), full_config());
 }
 
 // The standard interactive-tuning build used throughout this file:
@@ -204,7 +163,7 @@ TEST(IncrementalDeltaTest, MatchesColdRecomputeAcrossWorkloadsThreadsLanes) {
           PipelineResult got =
               delta.run_delta(wc.sdfg, 1, wc.bindings[step], options,
                               &outcome);
-          expect_identical(got, reference(wc.sdfg, wc.bindings[step],
+          expect_results_equal(got, reference(wc.sdfg, wc.bindings[step],
                                           options));
         }
       }
@@ -224,7 +183,7 @@ TEST(IncrementalDeltaTest, RepeatedBindingIsBitIdenticalNotJustEqual) {
   PipelineResult again = delta.run_delta(sdfg, 1, cap_binding(8), options,
                                          &outcome);
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kNoChange);
-  expect_identical(again, reference(sdfg, cap_binding(8), options));
+  expect_results_equal(again, reference(sdfg, cap_binding(8), options));
 }
 
 // --- Outcome classification ------------------------------------------
@@ -254,7 +213,7 @@ TEST(IncrementalDeltaTest, OutcomeClassification) {
   EXPECT_GT(outcome.chunks_clean, 0);
   EXPECT_EQ(outcome.chunks_dirty, 1);
   EXPECT_EQ(outcome.chunks_total, outcome.chunks_clean + outcome.chunks_dirty);
-  expect_identical(up, reference(sdfg, cap_binding(7), options));
+  expect_results_equal(up, reference(sdfg, cap_binding(7), options));
 
   // Slider down: pure truncation — every surviving chunk is clean, no
   // dirty simulation at all; the metric state replays (no resume).
@@ -263,7 +222,7 @@ TEST(IncrementalDeltaTest, OutcomeClassification) {
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kChunkDelta);
   EXPECT_FALSE(outcome.resumed);
   EXPECT_EQ(outcome.chunks_dirty, 0);
-  expect_identical(down, reference(sdfg, cap_binding(5), options));
+  expect_results_equal(down, reference(sdfg, cap_binding(5), options));
 
   // A symbol reaching EVERY chunk (I sits in strides and inner map
   // ranges): nothing is clean, so the engine must detect it and run the
@@ -273,7 +232,7 @@ TEST(IncrementalDeltaTest, OutcomeClassification) {
   PipelineResult cold = delta.run_delta(sdfg, 1, moved, options, &outcome);
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold);
   EXPECT_STREQ(outcome.reason, "binding delta dirties every chunk");
-  expect_identical(cold, reference(sdfg, moved, options));
+  expect_results_equal(cold, reference(sdfg, moved, options));
 }
 
 TEST(IncrementalDeltaTest, ProgramOrOptionsChangeInvalidatesCheckpoint) {
@@ -302,7 +261,7 @@ TEST(IncrementalDeltaTest, ProgramOrOptionsChangeInvalidatesCheckpoint) {
   PipelineResult got = delta.run_delta(sdfg, 2, cap_binding(8), lanes,
                                        &outcome);
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kChunkDelta);
-  expect_identical(got, reference(sdfg, cap_binding(8), lanes));
+  expect_results_equal(got, reference(sdfg, cap_binding(8), lanes));
 }
 
 TEST(IncrementalDeltaTest, InterleavedPublicRunInvalidatesCheckpoint) {
@@ -318,7 +277,7 @@ TEST(IncrementalDeltaTest, InterleavedPublicRunInvalidatesCheckpoint) {
   PipelineResult got = delta.run_delta(sdfg, 1, cap_binding(6), options,
                                        &outcome);
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold);
-  expect_identical(got, reference(sdfg, cap_binding(6), options));
+  expect_results_equal(got, reference(sdfg, cap_binding(6), options));
 }
 
 // --- Chunk dependency analysis ---------------------------------------
@@ -457,7 +416,7 @@ TEST(IncrementalSessionTest, DeltaSessionMatchesUncachedEvaluation) {
   for (std::int64_t k : {3, 4, 7, 5, 3}) {
     SCOPED_TRACE("K=" + std::to_string(k));
     session.set_binding(cap_binding(k));
-    expect_identical(*session.metrics(),
+    expect_results_equal(*session.metrics(),
                      reference(fixed_cap_hdiff(), cap_binding(k),
                                config.simulation));
   }
@@ -516,7 +475,7 @@ TEST(IncrementalSessionTest, PrefetchRoutesThroughDeltaBitIdentical) {
   for (std::int64_t k : {4, 5, 6, 5}) {
     SCOPED_TRACE("K=" + std::to_string(k));
     session.set_binding(cap_binding(k));
-    expect_identical(*session.metrics(),
+    expect_results_equal(*session.metrics(),
                      reference(fixed_cap_hdiff(), cap_binding(k),
                                config.simulation));
   }

@@ -1,14 +1,14 @@
-// Mergeable parallel metric engine tests.
+// Metric engine tests.
 //
-// The engine (sim/metric_merge) partitions the fused metric pass —
-// consumer segments, set-partitioned exact LRU, two-phase stack
-// distances — and merges per-partition state in fixed order. Its
-// contract is BIT-IDENTITY with the serial fused pass (which is itself
-// bit-identical to the standalone passes, see pipeline_test), for every
-// PipelineResult field, at any (thread, lane, partition) combination,
-// across materialized, fused-generation, streaming, delta, and spilled
-// drives. All suites are named MetricMerge so the CI determinism /
-// sanitizer / TSan gates pick them up.
+// The engine (sim/metric_merge) runs every MetricPipeline driver: a
+// fresh pass in consumer segments, set-partitioned exact LRU and
+// two-phase stack distances (or one segment for small traces, one
+// worker, or a pool task), and an append-only resume of the checkpoint
+// state. Its contract is BIT-IDENTITY with the standalone metric passes
+// for every PipelineResult field, at any (thread, lane, partition)
+// combination, across materialized, generating, delta, resumed and
+// spilled drives. All suites are named MetricMerge so the CI
+// determinism / sanitizer / TSan gates pick them up.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "dmv/sim/sim.hpp"
 #include "dmv/store/trace_store.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv::sim {
 namespace {
@@ -36,7 +37,7 @@ fs::path scratch_dir(const std::string& name) {
   return dir;
 }
 
-/// Every consumer on, min_events 0 so the engine runs on any trace.
+/// Every consumer on.
 PipelineConfig merge_config() {
   PipelineConfig config;
   config.line_size = 64;
@@ -46,74 +47,11 @@ PipelineConfig merge_config() {
   config.element_stats = true;
   config.cache = CacheConfig{};
   config.movement = true;
-  config.parallel_metrics = true;
-  config.parallel_metrics_min_events = 0;
   return config;
 }
 
-/// Same consumers, engine off — the serial identity reference.
-PipelineConfig serial_config() {
-  PipelineConfig config = merge_config();
-  config.parallel_metrics = false;
-  return config;
-}
-
-void expect_stats_equal(const MissStats& a, const MissStats& b,
-                        const char* what) {
-  EXPECT_EQ(a.cold, b.cold) << what;
-  EXPECT_EQ(a.capacity, b.capacity) << what;
-  EXPECT_EQ(a.hits, b.hits) << what;
-}
-
-/// EVERY PipelineResult field, exact.
-void expect_results_equal(const PipelineResult& actual,
-                          const PipelineResult& expected,
-                          const std::string& context) {
-  SCOPED_TRACE(context);
-  EXPECT_EQ(actual.events, expected.events);
-  EXPECT_EQ(actual.executions, expected.executions);
-  EXPECT_EQ(actual.containers, expected.containers);
-  EXPECT_EQ(actual.counts.reads, expected.counts.reads);
-  EXPECT_EQ(actual.counts.writes, expected.counts.writes);
-  EXPECT_EQ(actual.distances.line_size, expected.distances.line_size);
-  EXPECT_EQ(actual.distances.distances, expected.distances.distances);
-  EXPECT_EQ(actual.misses.threshold_lines, expected.misses.threshold_lines);
-  EXPECT_EQ(actual.misses.element_misses, expected.misses.element_misses);
-  ASSERT_EQ(actual.misses.per_container.size(),
-            expected.misses.per_container.size());
-  for (std::size_t c = 0; c < expected.misses.per_container.size(); ++c) {
-    expect_stats_equal(actual.misses.per_container[c],
-                       expected.misses.per_container[c], "misses");
-  }
-  expect_stats_equal(actual.misses.total, expected.misses.total, "misses");
-  ASSERT_EQ(actual.element_stats.size(), expected.element_stats.size());
-  for (std::size_t c = 0; c < expected.element_stats.size(); ++c) {
-    EXPECT_EQ(actual.element_stats[c].min, expected.element_stats[c].min);
-    EXPECT_EQ(actual.element_stats[c].median,
-              expected.element_stats[c].median);
-    EXPECT_EQ(actual.element_stats[c].max, expected.element_stats[c].max);
-    EXPECT_EQ(actual.element_stats[c].cold_count,
-              expected.element_stats[c].cold_count);
-  }
-  EXPECT_EQ(actual.cache.config.line_size, expected.cache.config.line_size);
-  EXPECT_EQ(actual.cache.config.total_size, expected.cache.config.total_size);
-  EXPECT_EQ(actual.cache.config.ways, expected.cache.config.ways);
-  ASSERT_EQ(actual.cache.per_container.size(),
-            expected.cache.per_container.size());
-  for (std::size_t c = 0; c < expected.cache.per_container.size(); ++c) {
-    expect_stats_equal(actual.cache.per_container[c],
-                       expected.cache.per_container[c], "cache");
-  }
-  expect_stats_equal(actual.cache.total, expected.cache.total, "cache");
-  EXPECT_EQ(actual.movement.line_size, expected.movement.line_size);
-  EXPECT_EQ(actual.movement.bytes_per_container,
-            expected.movement.bytes_per_container);
-  EXPECT_EQ(actual.movement.total_bytes, expected.movement.total_bytes);
-}
-
-/// Serial reference at 1 thread vs the engine at {2, 4, 8} threads and
-/// lane widths {1, 8}, across the materialized, generating, streaming,
-/// and delta drives.
+/// Standalone passes vs the engine at {1, 2, 4, 8} threads and lane
+/// widths {1, 8}, across the materialized, generating and delta drives.
 void check_bit_identity(const ir::Sdfg& sdfg,
                         const std::vector<symbolic::SymbolMap>& bindings,
                         const std::string& name) {
@@ -122,15 +60,10 @@ void check_bit_identity(const ir::Sdfg& sdfg,
     for (const int lanes : {1, 8}) {
       SimulationOptions options;
       options.lane_width = lanes;
-      PipelineResult expected;
-      AccessTrace trace;
-      {
-        par::ThreadScope serial(1);
-        trace = simulate(sdfg, binding, options);
-        MetricPipeline reference(serial_config());
-        expected = reference.run(trace);
-      }
-      for (const int threads : {2, 4, 8}) {
+      const AccessTrace trace = simulate(sdfg, binding, options);
+      const PipelineResult expected =
+          standalone_result(trace, merge_config());
+      for (const int threads : {1, 2, 4, 8}) {
         par::ThreadScope scope(threads);
         const std::string context = name + " binding " + std::to_string(b) +
                                     " lanes " + std::to_string(lanes) +
@@ -140,8 +73,6 @@ void check_bit_identity(const ir::Sdfg& sdfg,
                              context + " run(trace)");
         expect_results_equal(merged.run(sdfg, binding, options), expected,
                              context + " run(sdfg)");
-        expect_results_equal(merged.run_streaming(sdfg, binding, options),
-                             expected, context + " streaming");
         expect_results_equal(
             merged.run_delta(sdfg, /*program_version=*/7, binding, options),
             expected, context + " delta");
@@ -202,17 +133,9 @@ TEST(MetricMerge, SetPartitionBoundaries) {
     PipelineConfig config = merge_config();
     config.line_size = shape.line_size;
     config.cache = shape.cache;
-    PipelineResult expected;
-    AccessTrace trace;
-    {
-      par::ThreadScope serial(1);
-      trace = simulate(sdfg, binding);
-      PipelineConfig reference = config;
-      reference.parallel_metrics = false;
-      MetricPipeline pipeline(reference);
-      expected = pipeline.run(trace);
-    }
-    for (const int threads : {2, 8}) {
+    const AccessTrace trace = simulate(sdfg, binding);
+    const PipelineResult expected = standalone_result(trace, config);
+    for (const int threads : {1, 2, 8}) {
       par::ThreadScope scope(threads);
       MetricPipeline merged(config);
       expect_results_equal(merged.run(trace), expected,
@@ -231,13 +154,8 @@ TEST(MetricMerge, SpilledTraceParallelMetrics) {
   const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
   symbolic::SymbolMap binding = workloads::hdiff_local();
 
-  PipelineResult expected;
-  {
-    par::ThreadScope serial(1);
-    const AccessTrace trace = simulate(sdfg, binding);
-    MetricPipeline reference(serial_config());
-    expected = reference.run(trace);
-  }
+  const PipelineResult expected =
+      standalone_result(simulate(sdfg, binding), merge_config());
 
   par::ThreadScope scope(8);
   // Externally spilled trace straight into the parallel engine.
@@ -250,18 +168,14 @@ TEST(MetricMerge, SpilledTraceParallelMetrics) {
   // Delta engine over a pipeline that spills its checkpoint after every
   // run: each warm step faults the checkpoint in before the parallel
   // patch phase.
-  MetricPipeline plain(serial_config());
   MetricPipeline spilling(merge_config());
   spilling.set_spill(1, (dir / "ckpt").string());
   for (const std::int64_t k : {5, 6, 7, 6}) {
     binding["K"] = k;
-    PipelineResult reference;
-    {
-      par::ThreadScope serial(1);
-      reference = plain.run_delta(sdfg, 3, binding);
-    }
-    expect_results_equal(spilling.run_delta(sdfg, 3, binding), reference,
-                         "spilled delta K=" + std::to_string(k));
+    expect_results_equal(
+        spilling.run_delta(sdfg, 3, binding),
+        standalone_result(simulate(sdfg, binding), merge_config()),
+        "spilled delta K=" + std::to_string(k));
   }
   fs::remove_all(dir);
 }
@@ -300,13 +214,8 @@ TEST(MetricMerge, HandBuiltTraceFuzz) {
     }
     trace.executions = static_cast<std::int64_t>(n);
 
-    PipelineResult expected;
-    {
-      par::ThreadScope serial(1);
-      MetricPipeline reference(serial_config());
-      expected = reference.run(trace);
-    }
-    for (const int threads : {4, 8}) {
+    const PipelineResult expected = standalone_result(trace, merge_config());
+    for (const int threads : {1, 4, 8}) {
       par::ThreadScope scope(threads);
       MetricPipeline merged(merge_config());
       expect_results_equal(merged.run(trace), expected,
@@ -314,6 +223,61 @@ TEST(MetricMerge, HandBuiltTraceFuzz) {
                                std::to_string(threads));
     }
   }
+}
+
+// Containers placed 2^40 bytes apart: the distance line span is far
+// beyond the dense tables, so every pass takes the hash last-seen path
+// as one segment and must still match the standalone passes exactly; a
+// cache over that span is rejected with the sparse-span error, and so
+// is a cache over negative line ids.
+TEST(MetricMerge, SparseLineSpanTakesHashPath) {
+  AccessTrace trace;
+  for (int c = 0; c < 2; ++c) {
+    layout::ConcreteLayout layout;
+    layout.name = "c" + std::to_string(c);
+    layout.shape = {512};
+    layout.strides = {1};
+    layout.element_size = 8;
+    layout.base_address = c == 0 ? 0 : std::int64_t{1} << 40;
+    trace.containers.push_back(layout.name);
+    trace.layouts.push_back(layout);
+  }
+  std::mt19937 rng(20261017u);
+  const std::size_t n = 20000;
+  for (std::size_t i = 0; i < n; ++i) {
+    AccessEvent event;
+    event.container = static_cast<int>(rng() % 2);
+    event.flat = static_cast<std::int64_t>(rng() % 512);
+    event.is_write = (rng() % 4) == 0;
+    event.timestep = static_cast<std::int64_t>(i);
+    event.execution = static_cast<std::int64_t>(i);
+    trace.events.push_back(event);
+  }
+  trace.executions = static_cast<std::int64_t>(n);
+
+  PipelineConfig config = merge_config();
+  config.cache.reset();
+  const PipelineResult expected = standalone_result(trace, config);
+  for (const int threads : {1, 4}) {
+    par::ThreadScope scope(threads);
+    MetricPipeline pipeline(config);
+    expect_results_equal(pipeline.run(trace), expected,
+                         "threads " + std::to_string(threads));
+    EXPECT_EQ(pipeline.last_timings().partitions, 1);
+  }
+
+  MetricPipeline with_cache(merge_config());
+  try {
+    with_cache.run(trace);
+    ADD_FAILURE() << "sparse cache span accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("too sparse"), std::string::npos)
+        << error.what();
+  }
+  // The flat LRU arrays mark empty ways with -1, so negative cache line
+  // ids are rejected too, not simulated wrongly.
+  trace.layouts[1].base_address = -4096;
+  EXPECT_THROW(with_cache.run(trace), std::invalid_argument);
 }
 
 // Phase timing observability: partitions report the engine's use, and
@@ -324,7 +288,7 @@ TEST(MetricMerge, PhaseTimingsReportPartitions) {
 
   {
     par::ThreadScope serial(1);
-    MetricPipeline pipeline(serial_config());
+    MetricPipeline pipeline(merge_config());
     pipeline.run(sdfg, binding);
     EXPECT_EQ(pipeline.last_timings().partitions, 1);
     EXPECT_GE(pipeline.last_timings().metrics_ms, 0.0);
@@ -335,11 +299,64 @@ TEST(MetricMerge, PhaseTimingsReportPartitions) {
     const AccessTrace trace = simulate(sdfg, binding);
     pipeline.run(trace);
     EXPECT_GT(pipeline.last_timings().partitions, 1);
-    pipeline.run_streaming(sdfg, binding);
-    // Streaming interleaves generation and consumption: the whole cost
-    // collapses into simulate_ms and the pass stays serial.
+    // The served path: a cold delta step runs the segmented pass too...
+    pipeline.run_delta(sdfg, /*program_version=*/1, binding);
+    EXPECT_GT(pipeline.last_timings().partitions, 1);
+    EXPECT_GT(pipeline.last_timings().simulate_ms, 0.0);
+    // ...and an unchanged binding only finalizes the live state.
+    pipeline.run_delta(sdfg, /*program_version=*/1, binding);
     EXPECT_EQ(pipeline.last_timings().partitions, 1);
-    EXPECT_EQ(pipeline.last_timings().metrics_ms, 0.0);
+    EXPECT_EQ(pipeline.last_timings().simulate_ms, 0.0);
+  }
+}
+
+// Append-only resume: an upward K drag on fixed-capacity hdiff resumes
+// the checkpointed state at every step after the first, and the trace
+// grows past twice its first size, so the live Fenwick regrows and is
+// rebuilt from the last-seen table. The cold first step is segmented at
+// 4 threads (its last segment leaves the live Fenwick) and a single
+// block pass at 1 thread.
+TEST(MetricMerge, ResumeRegrowsFenwickAcrossAppendDrag) {
+  const ir::Sdfg sdfg = workloads::fixed_capacity(
+      workloads::hdiff(workloads::HdiffVariant::Reordered), {{"K", "KMAX"}});
+  PipelineConfig config;
+  config.line_size = 64;
+  config.counts = true;
+  config.miss_threshold_lines = 16;
+  config.keep_distances = true;
+  config.element_stats = true;
+  config.movement = true;
+  config.cache = CacheConfig{128, 8192, 4};  // Its own line size.
+  for (const int threads : {1, 4}) {
+    par::ThreadScope scope(threads);
+    MetricPipeline pipeline(config);
+    std::int64_t first_events = 0;
+    std::int64_t last_events = 0;
+    for (const std::int64_t k : {2, 3, 4, 5, 7, 9}) {
+      const symbolic::SymbolMap binding{
+          {"I", 20}, {"J", 20}, {"K", k}, {"KMAX", 12}};
+      const std::string context =
+          "threads " + std::to_string(threads) + " K=" + std::to_string(k);
+      DeltaOutcome outcome;
+      const PipelineResult result =
+          pipeline.run_delta(sdfg, /*program_version=*/5, binding, {},
+                             &outcome);
+      if (k == 2) {
+        EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold) << context;
+        EXPECT_EQ(pipeline.last_timings().partitions > 1, threads > 1)
+            << context;
+        first_events = result.events;
+      } else {
+        EXPECT_EQ(outcome.path, DeltaOutcome::Path::kChunkDelta) << context;
+        EXPECT_TRUE(outcome.resumed) << context;
+        EXPECT_GT(result.events, last_events) << context;
+      }
+      last_events = result.events;
+      expect_results_equal(result,
+                           standalone_result(simulate(sdfg, binding), config),
+                           context);
+    }
+    EXPECT_GT(last_events, 2 * first_events);
   }
 }
 

@@ -8,12 +8,13 @@
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
-// MetricPipeline contract: the fused pass (materialized and streaming)
-// is bit-identical to the standalone metric passes — fusion and arena
-// reuse are pure performance changes. These tests drive hdiff and bert
-// across several symbol bindings and require exact equality on every
-// enabled consumer, plus the O(1)-event-storage property of streaming.
+// MetricPipeline contract: every driver (run over a trace, run over a
+// program, run_delta) is bit-identical to the standalone metric passes
+// — fusion, partitioning and arena reuse are pure performance changes.
+// These tests drive hdiff and bert across several symbol bindings and
+// require exact equality on every enabled consumer.
 
 namespace dmv::sim {
 namespace {
@@ -40,56 +41,7 @@ void expect_stats_equal(const MissStats& a, const MissStats& b) {
 void expect_matches_standalone(const PipelineResult& result,
                                const AccessTrace& trace,
                                const PipelineConfig& config) {
-  EXPECT_EQ(result.events, static_cast<std::int64_t>(trace.events.size()));
-  EXPECT_EQ(result.executions, trace.executions);
-
-  const AccessCounts counts = count_accesses(trace);
-  EXPECT_EQ(result.counts.reads, counts.reads);
-  EXPECT_EQ(result.counts.writes, counts.writes);
-
-  const StackDistanceResult distances =
-      stack_distances(trace, config.line_size);
-  EXPECT_EQ(result.distances.line_size, distances.line_size);
-  EXPECT_EQ(result.distances.distances, distances.distances);
-
-  const MissReport misses =
-      classify_misses(trace, distances, config.miss_threshold_lines);
-  EXPECT_EQ(result.misses.threshold_lines, misses.threshold_lines);
-  EXPECT_EQ(result.misses.element_misses, misses.element_misses);
-  ASSERT_EQ(result.misses.per_container.size(),
-            misses.per_container.size());
-  for (std::size_t c = 0; c < misses.per_container.size(); ++c) {
-    expect_stats_equal(result.misses.per_container[c],
-                       misses.per_container[c]);
-  }
-  expect_stats_equal(result.misses.total, misses.total);
-
-  ASSERT_EQ(result.element_stats.size(), trace.layouts.size());
-  for (std::size_t c = 0; c < trace.layouts.size(); ++c) {
-    const ElementDistanceStats stats =
-        element_distance_stats(trace, distances, static_cast<int>(c));
-    EXPECT_EQ(result.element_stats[c].min, stats.min) << "container " << c;
-    EXPECT_EQ(result.element_stats[c].median, stats.median)
-        << "container " << c;
-    EXPECT_EQ(result.element_stats[c].max, stats.max) << "container " << c;
-    EXPECT_EQ(result.element_stats[c].cold_count, stats.cold_count)
-        << "container " << c;
-  }
-
-  const CacheSimResult cache = simulate_cache(trace, *config.cache);
-  ASSERT_EQ(result.cache.per_container.size(), cache.per_container.size());
-  for (std::size_t c = 0; c < cache.per_container.size(); ++c) {
-    expect_stats_equal(result.cache.per_container[c],
-                       cache.per_container[c]);
-  }
-  expect_stats_equal(result.cache.total, cache.total);
-
-  const MovementEstimate movement =
-      physical_movement(trace, misses, config.line_size);
-  EXPECT_EQ(result.movement.line_size, movement.line_size);
-  EXPECT_EQ(result.movement.bytes_per_container,
-            movement.bytes_per_container);
-  EXPECT_EQ(result.movement.total_bytes, movement.total_bytes);
+  expect_results_equal(result, standalone_result(trace, config));
 }
 
 void check_workload(const ir::Sdfg& sdfg,
@@ -102,8 +54,9 @@ void check_workload(const ir::Sdfg& sdfg,
                               pipeline.config());
     expect_matches_standalone(pipeline.run(sdfg, binding), trace,
                               pipeline.config());
-    expect_matches_standalone(pipeline.run_streaming(sdfg, binding), trace,
-                              pipeline.config());
+    expect_matches_standalone(
+        pipeline.run_delta(sdfg, /*program_version=*/1, binding), trace,
+        pipeline.config());
   }
 }
 
@@ -125,21 +78,6 @@ TEST(Pipeline, FusedAndStreamingMatchStandalonePassesOnBert) {
   check_workload(sdfg, {small, wider, taller});
 }
 
-TEST(Pipeline, StreamingNeverMaterializesTheEventVector) {
-  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  const symbolic::SymbolMap binding{{"I", 12}, {"J", 12}, {"K", 4}};
-
-  MetricPipeline streaming(full_config());
-  const PipelineResult result = streaming.run_streaming(sdfg, binding);
-  EXPECT_GT(result.events, 0);
-  // O(1) event storage: the arena never allocated a single event column.
-  EXPECT_EQ(streaming.event_storage_bytes(), 0u);
-
-  MetricPipeline materialized(full_config());
-  materialized.run(sdfg, binding);
-  EXPECT_GT(materialized.event_storage_bytes(), 0u);
-}
-
 TEST(Pipeline, SweepMatchesIndividualRunsInBothModes) {
   const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
   const symbolic::SymbolMap base{{"I", 10}, {"J", 10}, {"K", 2}};
@@ -147,14 +85,14 @@ TEST(Pipeline, SweepMatchesIndividualRunsInBothModes) {
 
   // One pipeline per mode, reused across the slider values, so every
   // step after the first runs on a warm arena.
-  for (const bool streaming : {false, true}) {
+  for (const bool delta : {false, true}) {
     MetricPipeline pipeline(full_config());
     symbolic::SymbolMap binding = base;
     for (const std::int64_t value : values) {
       binding["K"] = value;
-      const PipelineResult result = streaming
-                                        ? pipeline.run_streaming(sdfg, binding)
-                                        : pipeline.run(sdfg, binding);
+      const PipelineResult result =
+          delta ? pipeline.run_delta(sdfg, /*program_version=*/1, binding)
+                : pipeline.run(sdfg, binding);
       const AccessTrace trace = simulate(sdfg, binding);
       expect_matches_standalone(result, trace, pipeline.config());
     }
@@ -190,10 +128,11 @@ TEST(Pipeline, CacheWithDifferentLineSizeThanDistances) {
 
   MetricPipeline pipeline(config);
   const PipelineResult fused = pipeline.run(trace);
-  const PipelineResult streamed = pipeline.run_streaming(sdfg, binding);
+  const PipelineResult delta =
+      pipeline.run_delta(sdfg, /*program_version=*/1, binding);
 
   const CacheSimResult reference = simulate_cache(trace, *config.cache);
-  for (const PipelineResult* result : {&fused, &streamed}) {
+  for (const PipelineResult* result : {&fused, &delta}) {
     ASSERT_EQ(result->cache.per_container.size(),
               reference.per_container.size());
     for (std::size_t c = 0; c < reference.per_container.size(); ++c) {
@@ -322,8 +261,9 @@ TEST(Pipeline, ArenaReuseAcrossDifferentWorkloads) {
                             pipeline.config());
   expect_matches_standalone(pipeline.run(mm_trace), mm_trace,
                             pipeline.config());
-  expect_matches_standalone(pipeline.run_streaming(hdiff, hdiff_binding),
-                            hdiff_trace, pipeline.config());
+  expect_matches_standalone(
+      pipeline.run_delta(hdiff, /*program_version=*/1, hdiff_binding),
+      hdiff_trace, pipeline.config());
   expect_matches_standalone(pipeline.run(hdiff_trace), hdiff_trace,
                             pipeline.config());
 }

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "dmv/ir/serialize.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
 #include "dmv/session/session.hpp"
@@ -133,22 +134,34 @@ TEST(ServeProtocolTest, StepWithBadParamsReportsBadRequest) {
 
 TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
   // A binding the program cannot run under is the client's fault: a
-  // negative extent and a symbol left unbound both map to bad_request.
+  // negative extent, a symbol left unbound, and a slider moved past a
+  // fixed capacity all map to bad_request.
   Server server;
   server.handle(open_request("a", "hdiff"));
+  const dmv::ir::Sdfg fixed = dmv::workloads::fixed_capacity(
+      dmv::workloads::hdiff(dmv::workloads::HdiffVariant::Reordered),
+      {{"K", "KMAX"}});
+  const std::string in_capacity = "{\"I\":8,\"J\":8,\"K\":6,\"KMAX\":10}";
+  server.handle(
+      "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":"
+      "\"b\",\"sdfg\":" +
+      dmv::ir::to_json(fixed) + ",\"binding\":" + in_capacity + "}}");
   struct Case {
+    const char* session;
     const char* binding;
     const char* message;
   };
   const Case cases[] = {
-      {"{\"I\":-5,\"J\":8,\"K\":4}", "non-positive extent"},
-      {"{\"I\":8,\"J\":8}", "unbound symbol in evaluation: K"},
+      {"a", "{\"I\":-5,\"J\":8,\"K\":4}", "non-positive extent"},
+      {"a", "{\"I\":8,\"J\":8}", "unbound symbol in evaluation: K"},
+      {"b", "{\"I\":8,\"J\":8,\"K\":12,\"KMAX\":10}",
+       "access out of bounds"},
   };
   for (const Case& c : cases) {
     const Value response = parse_line(server.handle(
         std::string("{\"id\":3,\"method\":\"step\",\"params\":"
-                    "{\"session\":\"a\",\"binding\":") +
-        c.binding + "}}"));
+                    "{\"session\":\"") +
+        c.session + "\",\"binding\":" + c.binding + "}}"));
     ASSERT_TRUE(response.has("error")) << c.binding;
     EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request")
         << c.binding;
@@ -156,13 +169,24 @@ TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
               std::string::npos)
         << dmv::json::dump(response);
   }
-  // The same session still serves a valid step, bit-identical to a lone
+  // Both sessions still serve a valid step, bit-identical to a lone
   // Session at that binding.
   const Value stepped = parse_line(server.handle(step_request("a", "K", 6)));
   ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
   EXPECT_EQ(stepped.at("result").at("checksum").as_string(),
             reference_checksums({6}).front());
-  EXPECT_EQ(server.stats().errors, 2);
+  const Value back = parse_line(server.handle(
+      "{\"id\":4,\"method\":\"step\",\"params\":{\"session\":\"b\","
+      "\"binding\":" +
+      in_capacity + "}}"));
+  ASSERT_TRUE(back.has("result")) << dmv::json::dump(back);
+  dmv::session::SessionConfig config;
+  config.prefetch = false;
+  dmv::session::Session lone(fixed, std::move(config));
+  lone.set_binding({{"I", 8}, {"J", 8}, {"K", 6}, {"KMAX", 10}});
+  EXPECT_EQ(back.at("result").at("checksum").as_string(),
+            std::to_string(dmv::serve::result_checksum(*lone.metrics())));
+  EXPECT_EQ(server.stats().errors, 3);
 }
 
 TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {

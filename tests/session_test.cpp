@@ -19,10 +19,12 @@
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/transforms/transforms.hpp"
 #include "dmv/workloads/workloads.hpp"
+#include "standalone_reference.hpp"
 
 namespace dmv::session {
 namespace {
 
+using sim::expect_results_equal;
 using sim::PipelineResult;
 using symbolic::SymbolMap;
 
@@ -45,35 +47,12 @@ SymbolMap small_binding(std::int64_t k = 3) {
   return SymbolMap{{"I", 4}, {"J", 4}, {"K", k}};
 }
 
-void expect_identical(const PipelineResult& a, const PipelineResult& b) {
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.executions, b.executions);
-  EXPECT_EQ(a.counts.reads, b.counts.reads);
-  EXPECT_EQ(a.counts.writes, b.counts.writes);
-  EXPECT_EQ(a.distances.line_size, b.distances.line_size);
-  EXPECT_EQ(a.distances.distances, b.distances.distances);
-  EXPECT_EQ(a.misses.threshold_lines, b.misses.threshold_lines);
-  EXPECT_EQ(a.misses.element_misses, b.misses.element_misses);
-  EXPECT_EQ(a.misses.total.cold, b.misses.total.cold);
-  EXPECT_EQ(a.misses.total.capacity, b.misses.total.capacity);
-  EXPECT_EQ(a.misses.total.hits, b.misses.total.hits);
-  ASSERT_EQ(a.element_stats.size(), b.element_stats.size());
-  for (std::size_t c = 0; c < a.element_stats.size(); ++c) {
-    EXPECT_EQ(a.element_stats[c].min, b.element_stats[c].min);
-    EXPECT_EQ(a.element_stats[c].median, b.element_stats[c].median);
-    EXPECT_EQ(a.element_stats[c].max, b.element_stats[c].max);
-    EXPECT_EQ(a.element_stats[c].cold_count, b.element_stats[c].cold_count);
-  }
-  EXPECT_EQ(a.movement.line_size, b.movement.line_size);
-  EXPECT_EQ(a.movement.bytes_per_container, b.movement.bytes_per_container);
-  EXPECT_EQ(a.movement.total_bytes, b.movement.total_bytes);
-}
-
-// Uncached reference: a fresh pipeline per call, no memoization anywhere.
+// Uncached reference: the standalone metric passes over a fresh
+// simulation, no pipeline or memoization anywhere.
 PipelineResult uncached(const ir::Sdfg& sdfg, const SymbolMap& binding,
                         const SessionConfig& config) {
-  sim::MetricPipeline pipeline(config.pipeline);
-  return pipeline.run_streaming(sdfg, binding, config.simulation);
+  return sim::standalone_result(
+      sim::simulate(sdfg, binding, config.simulation), config.pipeline);
 }
 
 TEST(SessionTest, HitMissAccounting) {
@@ -87,7 +66,7 @@ TEST(SessionTest, HitMissAccounting) {
   auto second = session.metrics();
   EXPECT_EQ(session.stats().misses, 1);
   EXPECT_EQ(session.stats().hits, 1);
-  expect_identical(*first, *second);
+  expect_results_equal(*first, *second);
   // Cached artifacts are shared, not copied.
   EXPECT_EQ(first.get(), second.get());
 
@@ -99,7 +78,7 @@ TEST(SessionTest, HitMissAccounting) {
   auto fourth = session.metrics();
   EXPECT_EQ(session.stats().misses, 2);
   EXPECT_EQ(session.stats().hits, 2);
-  expect_identical(*first, *fourth);
+  expect_results_equal(*first, *fourth);
   EXPECT_NE(third->events, 0);
   EXPECT_GT(session.stats().cache_entries, 0u);
   EXPECT_GT(session.stats().cache_bytes, 0u);
@@ -119,7 +98,7 @@ TEST(SessionTest, ResultsMatchUncachedEvaluation) {
     session.set_symbol("I", 4);
     session.set_symbol("J", 4);
     session.set_symbol("K", k);
-    expect_identical(*session.metrics(),
+    expect_results_equal(*session.metrics(),
                      uncached(small_hdiff(), small_binding(k), config));
   }
 }
@@ -196,7 +175,7 @@ TEST(SessionTest, ProgramEditChangesContentHash) {
   // The permuted layout changes physical reuse, hence the metrics.
   ir::Sdfg reference = small_hdiff();
   transforms::permute_dimensions(reference, "in_field", {2, 0, 1});
-  expect_identical(*permuted, uncached(reference, small_binding(3), config));
+  expect_results_equal(*permuted, uncached(reference, small_binding(3), config));
   // Symbolic volume is recomputed for the new program version.
   EXPECT_NE(session.movement_volume().get(), baseline_volume.get());
   EXPECT_NE(baseline.get(), permuted.get());
@@ -209,7 +188,7 @@ TEST(SessionTest, LruEvictionUnderTinyByteBudget) {
 
   for (std::int64_t k : {2, 3, 4, 2, 3, 4}) {
     session.set_binding(small_binding(k));
-    expect_identical(*session.metrics(),
+    expect_results_equal(*session.metrics(),
                      uncached(small_hdiff(), small_binding(k), config));
   }
   const SessionStats stats = session.stats();
@@ -238,7 +217,7 @@ TEST(SessionTest, PrefetchVsColdBitIdentity) {
   for (std::int64_t k = 2; k <= 8; ++k) {
     cold.set_symbol("K", k);
     warm.set_symbol("K", k);
-    expect_identical(*warm.metrics(), *cold.metrics());
+    expect_results_equal(*warm.metrics(), *cold.metrics());
   }
   EXPECT_GT(warm.stats().prefetch_issued, 0);
   EXPECT_GT(warm.stats().prefetch_hits, 0);
@@ -269,8 +248,8 @@ TEST(SessionDeterminismTest, OneVsEightThreadsBitIdentical) {
   ASSERT_EQ(serial.size(), eight.size());
   ASSERT_EQ(four.size(), eight.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_identical(*serial[i], *four[i]);
-    expect_identical(*serial[i], *eight[i]);
+    expect_results_equal(*serial[i], *four[i]);
+    expect_results_equal(*serial[i], *eight[i]);
   }
   // At one thread speculation is skipped entirely (it would serialize in
   // front of the next interaction) and the stats say so.
