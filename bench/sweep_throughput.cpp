@@ -6,13 +6,11 @@
 // distance stats -> miss classification pipeline.
 //
 // Measured configurations:
-//   * serial, scalar engine (CompiledExpr evaluation, threads = 1,
-//     lane_width = 1) — the baseline every speedup is reported against;
-//   * serial, batched compiled engine (lane_width 4 and 8) — the
-//     simulate_batched series; a lane-width ablation whose traces are
-//     checksum-validated against the scalar engine per binding;
-//   * compiled engine at 2 / 8 / hardware threads, sweep parallel
-//     across bindings — the interactive-rate configuration (skipped and
+//   * serial (threads = 1): the simulate stage alone (simulate_ms)
+//     and the full sweep (serial_compiled) — the baseline every thread
+//     speedup is reported against;
+//   * the same sweep at 1 / 2 / 8 / hardware threads, parallel across
+//     bindings — the interactive-rate configuration (skipped and
 //     recorded as such when the machine has a single hardware thread);
 //   * pipeline ablation: the same metric set as separate passes
 //     (unfused) and through MetricPipeline (fused) — both serial,
@@ -30,9 +28,9 @@
 //     checksum-validated against the uncached pipeline.
 //
 // Results go to stdout and to BENCH_sweep.json (machine readable).
-// Speedups are reported against the scalar serial baseline; the
-// hardware thread count is recorded so a 1-core runner's numbers are
-// not mistaken for a scaling ceiling.
+// Thread speedups are reported against the 1-thread run; the hardware
+// thread count is recorded so a 1-core runner's numbers are not
+// mistaken for a scaling ceiling.
 //
 // `--smoke`: tiny workload, one repetition, no thread loop, no JSON —
 // exits nonzero if the fused/unfused/session checksums, the trace
@@ -159,9 +157,7 @@ std::int64_t run_fused(const SweepCase& sweep,
   return total;
 }
 
-// The simulate stage in isolation: the only stage whose inner loop the
-// expression compiler touches, so its ratio is the CompiledExpr speedup
-// undiluted by the engine-independent metric passes.
+// The simulate stage in isolation, undiluted by the metric passes.
 std::int64_t run_simulate_only(const SweepCase& sweep,
                                const SimulationOptions& options) {
   std::int64_t total = 0;
@@ -484,31 +480,6 @@ bool validate_ablation(const SweepCase& sweep,
   return true;
 }
 
-// Lane-width identity gate: the batched innermost loop at W=4 and W=8
-// must reproduce the scalar (W=1) order-sensitive trace checksum for
-// every binding. Serial threads so only the lane width varies.
-bool validate_batched_trace(const SweepCase& sweep,
-                            const SimulationOptions& options) {
-  dmv::par::ThreadScope scope(1);
-  SimulationOptions serial = options;
-  for (const SymbolMap& binding : sweep.bindings) {
-    std::int64_t checksums[3];
-    const int widths[3] = {1, 4, 8};
-    for (int i = 0; i < 3; ++i) {
-      serial.lane_width = widths[i];
-      checksums[i] =
-          trace_checksum(dmv::sim::simulate(sweep.sdfg, binding, serial));
-    }
-    if (checksums[0] != checksums[1] || checksums[0] != checksums[2]) {
-      std::cerr << "FATAL: batched trace mismatch on " << sweep.name
-                << ": W=1 " << checksums[0] << ", W=4 " << checksums[1]
-                << ", W=8 " << checksums[2] << "\n";
-      return false;
-    }
-  }
-  return true;
-}
-
 // Serial-vs-parallel trace identity gate: the chunked generator at 8
 // (oversubscribed) threads must reproduce the serial trace checksum for
 // every binding.
@@ -629,14 +600,12 @@ int run_smoke() {
   for (const SweepCase& sweep : build_cases(/*smoke=*/true)) {
     if (!validate_ablation(sweep, options)) return 1;
     if (!validate_parallel_trace(sweep, options)) return 1;
-    if (!validate_batched_trace(sweep, options)) return 1;
     if (!validate_delta_recompute(sweep, options)) return 1;
     if (!validate_trace_store(sweep, options)) return 1;
     if (!validate_metric_merge(sweep, options)) return 1;
     std::cout << "smoke " << sweep.name
               << ": unfused == fused == session, "
               << "serial trace == parallel trace (8 threads), "
-              << "batched trace (W=4/8) == scalar, "
               << "delta recompute == cold, "
               << "trace store round-trip == source, "
               << "pipeline metrics (8 threads) == standalone passes\n";
@@ -670,37 +639,13 @@ int main(int argc, char** argv) {
 
   for (std::size_t w = 0; w < cases.size(); ++w) {
     const SweepCase& sweep = cases[w];
-    // `compiled` keeps the default lane width (the shipping
-    // configuration, batched); `compiled_scalar` pins lane_width = 1 —
-    // the serial baseline the batched and thread-scaled series are
-    // measured against.
     const SimulationOptions compiled;
-    SimulationOptions compiled_scalar = compiled;
-    compiled_scalar.lane_width = 1;
-    SimulationOptions compiled_w4 = compiled;
-    compiled_w4.lane_width = 4;
 
     dmv::par::set_num_threads(1);
-    const Measurement sim_compiled = measure(
-        [&] { return run_simulate_only(sweep, compiled_scalar); },
-        repetitions);
-    // Lane-width ablation (W=1 is sim_compiled above). Identity is
-    // enforced on full order-sensitive trace checksums, untimed.
-    const Measurement sim_batched4 = measure(
-        [&] { return run_simulate_only(sweep, compiled_w4); }, repetitions);
-    const Measurement sim_batched = measure(
+    const Measurement sim_only = measure(
         [&] { return run_simulate_only(sweep, compiled); }, repetitions);
-    if (!validate_batched_trace(sweep, compiled)) return 1;
-    const Measurement serial_scalar = measure(
-        [&] { return run_sweep(sweep, compiled_scalar); }, repetitions);
     const Measurement serial_compiled =
         measure([&] { return run_sweep(sweep, compiled); }, repetitions);
-    if (serial_scalar.checksum != serial_compiled.checksum ||
-        sim_compiled.checksum != sim_batched.checksum ||
-        sim_compiled.checksum != sim_batched4.checksum) {
-      std::cerr << "FATAL: engine mismatch on " << sweep.name << "\n";
-      return 1;
-    }
 
     // Trace generation, serial vs chunk-parallel (the tentpole series).
     // Identity is enforced on an order-sensitive full-trace checksum; on
@@ -933,16 +878,8 @@ int main(int argc, char** argv) {
       prefetch_mode = probe.stats().prefetch;
     }
 
-    const double pipeline_batched_speedup =
-        serial_scalar.best_ms / serial_compiled.best_ms;
-    const double batched_speedup = sim_compiled.best_ms / sim_batched.best_ms;
-    std::cout << sweep.name << ": simulate batched: W=1 " << sim_compiled.best_ms
-              << " ms, W=4 " << sim_batched4.best_ms << " ms, W=8 "
-              << sim_batched.best_ms << " ms  (" << batched_speedup
-              << "x vs compiled scalar)\n";
-    std::cout << "  pipeline: scalar " << serial_scalar.best_ms
-              << " ms, batched " << serial_compiled.best_ms << " ms  ("
-              << pipeline_batched_speedup << "x end to end)\n";
+    std::cout << sweep.name << ": simulate " << sim_only.best_ms
+              << " ms, sweep " << serial_compiled.best_ms << " ms (1 thread)\n";
     std::cout << "  ablation: unfused " << serial_compiled.best_ms
               << " ms, fused " << fused.best_ms << " ms ("
               << fused_speedup << "x)\n";
@@ -980,21 +917,8 @@ int main(int argc, char** argv) {
 
     json << "    {\n      \"name\": \"" << sweep.name << "\",\n";
     json << "      \"bindings\": " << sweep.bindings.size() << ",\n";
-    json << "      \"simulate_compiled_ms\": " << sim_compiled.best_ms
-         << ",\n";
-    json << "      \"simulate_batched_ms\": " << sim_batched.best_ms << ",\n";
-    json << "      \"batched_speedup\": " << batched_speedup << ",\n";
-    json << "      \"lane_ablation\": {\n";
-    json << "        \"w1_ms\": " << sim_compiled.best_ms << ",\n";
-    json << "        \"w4_ms\": " << sim_batched4.best_ms << ",\n";
-    json << "        \"w8_ms\": " << sim_batched.best_ms << ",\n";
-    json << "        \"checksum_identical\": true\n";
-    json << "      },\n";
-    json << "      \"serial_scalar_ms\": " << serial_scalar.best_ms
-         << ",\n";
+    json << "      \"simulate_ms\": " << sim_only.best_ms << ",\n";
     json << "      \"serial_compiled_ms\": " << serial_compiled.best_ms
-         << ",\n";
-    json << "      \"pipeline_batched_speedup\": " << pipeline_batched_speedup
          << ",\n";
     json << "      \"trace_generation\": {\n";
     json << "        \"serial_ms\": " << trace_serial.best_ms << ",\n";
@@ -1067,23 +991,26 @@ int main(int argc, char** argv) {
       std::cout << "  thread scaling: skipped (1 hardware thread)\n";
       json << "      \"thread_scaling\": \"skipped (1 hardware thread)\"\n";
     } else {
+      // thread_counts starts at 1, the run every speedup is against.
       json << "      \"threads\": [\n";
+      double one_thread_ms = 0;
       for (std::size_t t = 0; t < thread_counts.size(); ++t) {
         const int threads = thread_counts[t];
         dmv::par::set_num_threads(threads);
         const Measurement parallel =
             measure([&] { return run_sweep(sweep, compiled); }, repetitions);
-        if (parallel.checksum != serial_scalar.checksum) {
+        if (parallel.checksum != serial_compiled.checksum) {
           std::cerr << "FATAL: parallel mismatch on " << sweep.name << " at "
                     << threads << " threads\n";
           return 1;
         }
-        const double speedup = serial_scalar.best_ms / parallel.best_ms;
+        if (threads == 1) one_thread_ms = parallel.best_ms;
+        const double speedup = one_thread_ms / parallel.best_ms;
         std::cout << "  threads=" << threads << ": " << parallel.best_ms
-                  << " ms  (" << speedup << "x vs scalar serial)\n";
+                  << " ms  (" << speedup << "x vs 1 thread)\n";
         json << "        {\"threads\": " << threads
              << ", \"ms\": " << parallel.best_ms
-             << ", \"speedup_vs_serial_scalar\": " << speedup << "}"
+             << ", \"speedup_vs_1_thread\": " << speedup << "}"
              << (t + 1 < thread_counts.size() ? "," : "") << "\n";
       }
       json << "      ]\n";

@@ -6,7 +6,9 @@
 // references, memlets over undeclared containers, rank mismatches between
 // subsets and descriptors, unmatched map entry/exit pairs, edges that
 // cross scope boundaries without passing through the scope's entry/exit
-// nodes, and cyclic dataflow within a state.
+// nodes, cyclic dataflow within a state, and symbols that a shape,
+// stride, offset, map range, memlet subset or volume reads but the
+// program never declares (map parameters excepted).
 
 #include <string>
 #include <vector>

@@ -89,22 +89,6 @@ bool pool_busy();
 /// layer surfaces it in stats as a contention signal.
 std::uint64_t busy_fallbacks();
 
-/// Ordered producer/consumer pipeline over [0, n): produce(i) runs on
-/// the pool (concurrently, completing in any order), consume(i) runs on
-/// the CALLING thread in strictly ascending i order as soon as
-/// produce(i) has finished. At most `window` produced-but-unconsumed
-/// items are in flight, so `window` reusable slots (indexed i % window)
-/// are enough for producers and consumer to exchange data. consume must
-/// not issue pool work itself (the single-job pool is occupied).
-/// Serial fallback — produce(i); consume(i) alternating, same order —
-/// when the knob is 1, n == 1, or inside a pool task; outputs that only
-/// depend on the (i, data) sequence are therefore bit-identical at any
-/// thread count. The first exception from either side aborts the
-/// pipeline and is rethrown on the caller.
-void ordered_pipeline(std::size_t n, std::size_t window,
-                      const std::function<void(std::size_t)>& produce,
-                      const std::function<void(std::size_t)>& consume);
-
 namespace detail {
 
 /// Runs task(0) .. task(count - 1) on the pool (caller participates).
@@ -113,20 +97,6 @@ namespace detail {
 /// rethrown on the caller. Serial in-order fallback when the knob is 1
 /// or the pool is busy with another caller's job (see busy_fallbacks).
 void run_tasks(std::size_t count, const std::function<void(std::size_t)>& task);
-
-/// Pool entry point for ordered_pipeline: workers drain the task
-/// counter while the CALLER runs `on_caller` instead of participating.
-/// Returns true after on_caller returned AND every task completed;
-/// returns false WITHOUT running anything when the pool is busy with
-/// another caller's job (the caller owns the serial fallback — the
-/// degenerate produce-all-then-consume loop here is only safe when the
-/// caller asked for it via a serial knob). Requires num_threads() > 1
-/// and must not be called from inside a pool task; `task` and
-/// `on_caller` must not let exceptions escape (they own their error
-/// channel).
-bool run_tasks_with_caller(std::size_t count,
-                           const std::function<void(std::size_t)>& task,
-                           const std::function<void()>& on_caller);
 
 /// Contiguous block partition of [0, n): number of blocks for a grain.
 inline std::size_t block_count(std::size_t n, std::size_t grain) {

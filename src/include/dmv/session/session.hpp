@@ -2,8 +2,8 @@
 
 // Interactive session engine: memoized incremental recomputation.
 //
-// PR 1–2 made a SINGLE evaluation fast (compiled simulation engine,
-// fused streaming metric pipeline). This layer makes the interactive
+// The simulator and the metric engine make a SINGLE evaluation fast.
+// This layer makes the interactive
 // loop fast: a `Session` wraps a program, its current parameter
 // binding, and a metric subscription set behind a byte-budgeted
 // memoization cache, so dragging a slider back over visited values —

@@ -336,9 +336,8 @@ class EventList {
     return tasklet_;
   }
 
-  /// Bytes currently RESERVED by the columns — the quantity the
-  /// streaming pipeline keeps at zero (O(1)-memory contract). A spilled
-  /// list reports zero: nothing is resident.
+  /// Bytes currently RESERVED by the columns — what the spill budget is
+  /// checked against. A spilled list reports zero: nothing is resident.
   std::size_t capacity_bytes() const {
     if (restore_) return 0;
     return container_.capacity() * sizeof(std::int32_t) +
@@ -421,33 +420,19 @@ struct SimulationOptions {
   /// Include read events for WCR (accumulating) outputs. The paper counts
   /// a WCR update as one access; keep false to match.
   bool wcr_reads = false;
-  /// Lane width W of the batched compiled engine: innermost map loops
-  /// whose scope is pure tasklets advance W iteration points per step
-  /// and evaluate each memlet subset expression for all W lanes in one
-  /// SoA pass (symbolic/batched.hpp); loop-invariant expressions are
-  /// hoisted out of the innermost loop entirely. Output is bit-identical
-  /// to the scalar loop at any width — including which exception fires
-  /// at which iteration point, via scalar replay of faulting batches —
-  /// and composes with parallel generation (threads x lanes). 1 disables
-  /// batching; values are clamped to [1, symbolic::kMaxLaneWidth].
-  int lane_width = 8;
 };
-
-/// Reusable buffers for parallel trace generation (plan storage and
-/// streaming chunk buffers); see sim/trace_plan.hpp. Passing one to
-/// simulate_into/simulate_stream lets a sweep pay the chunk-buffer
-/// allocations once instead of once per binding.
-struct TraceArena;
 
 /// Simulates every state of the SDFG under the given parameter binding
 /// and returns the exact access trace (§V-C "iteration space simulation").
 /// Generation runs in parallel on the dmv::par pool: a planning pass
 /// (sim/trace_plan.hpp) splits top-level maps into chunks with exact
 /// precomputed event/execution offsets, and each chunk writes its
-/// disjoint EventList slice. Output is bit-identical to serial at any
-/// thread count; generation is serial at num_threads()==1, inside a pool
-/// task, or when the plan finds nothing worth splitting (see
-/// docs/simulation.md). par::ThreadScope(1) forces the serial path.
+/// disjoint EventList slice. Innermost loops of pure-tasklet map scopes
+/// advance eight iteration points per step (symbolic/batched.hpp).
+/// Output is bit-identical to serial at any thread count; generation is
+/// serial at num_threads()==1, inside a pool task, or when the plan finds
+/// nothing worth splitting (see docs/simulation.md). par::ThreadScope(1)
+/// forces the serial path.
 AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options = {});
 
@@ -455,11 +440,10 @@ AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
 /// are cleared and rewritten while the event columns KEEP their
 /// capacity. This is the sweep-arena entry point — one trace buffer
 /// serves every slider position instead of reallocating per binding.
-/// `arena` (optional) additionally reuses the parallel-generation plan
-/// storage across calls.
+/// On the serial path a throwing simulation leaves the events emitted
+/// before the fault in `trace.events`.
 void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
-                   const SimulationOptions& options, AccessTrace& trace,
-                   TraceArena* arena = nullptr);
+                   const SimulationOptions& options, AccessTrace& trace);
 
 /// Places every container exactly as simulate() does (deterministic
 /// sdfg.arrays() order, options.placement_alignment), APPENDING to
@@ -468,32 +452,6 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
 /// generating a single event.
 void place_containers(const Sdfg& sdfg, const SymbolMap& symbols,
                       const SimulationOptions& options, AccessTrace& trace);
-
-/// Receiver for streaming simulation: events are delivered in timestep
-/// order as they are produced, and no event vector is materialized.
-class EventSink {
- public:
-  virtual ~EventSink() = default;
-  /// Called once after container placement, before any event. `header`
-  /// has containers and layouts filled and an EMPTY event list.
-  virtual void on_trace_header(const AccessTrace& header) = 0;
-  /// Called once per access, in timestep order.
-  virtual void on_event(const AccessEvent& event) = 0;
-  /// Called once after the last event.
-  virtual void on_trace_end(std::int64_t executions) = 0;
-};
-
-/// Streaming simulation (§V-C at bounded event memory): identical
-/// traversal to simulate(), but every event goes to `sink` instead of a
-/// vector. The stream of on_event calls equals simulate()'s event
-/// sequence bit for bit — including under parallel generation, where chunks
-/// are generated out of order into reusable buffers and a sequencer
-/// drains them to the sink in serial chunk order. `arena` (optional)
-/// reuses those chunk buffers across calls.
-AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
-                            EventSink& sink,
-                            const SimulationOptions& options = {},
-                            TraceArena* arena = nullptr);
 
 /// One-shot materialization of per-event cache-line ids plus the dense
 /// line-id range each container spans, computed once per

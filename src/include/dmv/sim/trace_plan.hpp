@@ -14,10 +14,9 @@
 //
 // With the plan in hand, generation parallelizes without stitching or
 // locks: the EventList is sized to total_events once, and each chunk's
-// Simulator clone writes its disjoint column slice (materialized path)
-// or fills a reusable buffer drained in chunk order by a sequencer
-// (streaming path). Either way the output is bit-identical to serial at
-// any thread count. See docs/simulation.md for the full safety argument.
+// Simulator clone writes its disjoint column slice, so the output is
+// bit-identical to serial at any thread count. See docs/simulation.md
+// for the full safety argument.
 //
 // Planning is exact, not estimated: an analytic fast path multiplies
 // iteration-count products by per-iteration event counts when extents
@@ -79,41 +78,16 @@ void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options, int max_chunks_per_map,
                      TracePlan& plan);
 
-/// Reusable parallel-generation state, kept alongside the sweep arena so
-/// a slider sweep pays the allocations once (sim.hpp forward-declares
-/// this for the simulate_into/simulate_stream parameters).
-struct TraceArena {
-  TracePlan plan;
-  /// Streaming sequencer ring: chunk c fills buffers[c % window].
-  std::vector<EventList> chunk_buffers;
-
-  std::size_t buffer_bytes() const {
-    std::size_t total = 0;
-    for (const EventList& buffer : chunk_buffers) {
-      total += buffer.capacity_bytes();
-    }
-    return total;
-  }
-};
-
 /// Generates exactly `chunk` of a plan for this (sdfg, symbols, options)
-/// triple, appending its events — with absolute timestep/execution
-/// stamps — to `out`. `header` supplies the placed container layouts
-/// (any trace returned by simulate/simulate_stream for the same binding
-/// and options). This is the streaming producers' worker and the test
-/// hook that validates a plan chunk-by-chunk against serial emission.
+/// triple, with absolute timestep/execution stamps. `header` supplies the
+/// placed container layouts (any trace simulate() returned for the same
+/// binding and options, or place_containers()' output). When `absolute`,
+/// `out` must be pre-sized to the plan's total and the events are written
+/// AT their [event_offset, event_offset + event_count) slice indices —
+/// the parallel writer's and the delta engine's dirty-chunk path;
+/// otherwise they are appended (the tests' chunk-by-chunk validation).
 /// Throws std::logic_error if the chunk's generated event or execution
 /// count disagrees with the plan.
-void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
-                    const SimulationOptions& options,
-                    const AccessTrace& header, const TraceChunk& chunk,
-                    EventList& out);
-
-/// Placement-mode variant: when `absolute`, `out` must be pre-sized to
-/// the plan's total and the chunk's events are written AT their absolute
-/// [event_offset, event_offset + event_count) slice indices (the
-/// delta-recomputation engine's dirty-chunk writer); otherwise appends,
-/// exactly like the overload above.
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     const SimulationOptions& options,
                     const AccessTrace& header, const TraceChunk& chunk,

@@ -22,8 +22,8 @@
 // Per-column chunk encoding (six sections per chunk, fixed order:
 // container, flat, is_write, timestep, execution, tasklet):
 //   kConst  — arithmetic sequence, stored as (base, delta). The
-//             timestep column is the global event index, so under the
-//             streaming contract it packs to 16 bytes per chunk.
+//             timestep column is the global event index, so it packs
+//             to 16 bytes per chunk.
 //   kPacked — first value + zigzag-encoded wrapping deltas, bit-packed
 //             at the minimal width for the chunk.
 //   kDict   — sorted dictionary + bit-packed indices (container and
@@ -34,7 +34,7 @@
 // into private buffers and assembled serially, so the packed bytes are
 // identical at any thread count; decoding writes disjoint absolute
 // slices, so a decoded trace is byte-identical to the in-RAM original
-// at any (thread, lane) combination. docs/storage.md specifies the
+// at any thread count. docs/storage.md specifies the
 // format; tests/store_test.cpp holds the identity and robustness
 // matrix.
 

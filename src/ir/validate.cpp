@@ -1,11 +1,48 @@
 #include "dmv/ir/validate.hpp"
 
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 namespace dmv::ir {
 
 namespace {
+
+// Collects the free symbols of `expr` that are neither declared program
+// symbols nor in `params`, keeping the first place each was seen.
+// Metrics key and delta-classify a binding by the declared symbols only,
+// so a program reading an undeclared one would be served wrong results.
+void collect_undeclared(const Expr& expr, const std::set<std::string>& declared,
+                        const std::set<std::string>& params,
+                        const std::string& where,
+                        std::map<std::string, std::string>& undeclared) {
+  for (const std::string& symbol : expr.free_symbols()) {
+    if (declared.count(symbol) || params.count(symbol)) continue;
+    undeclared.emplace(symbol, where);
+  }
+}
+
+void collect_undeclared(const std::vector<Range>& ranges,
+                        const std::set<std::string>& declared,
+                        const std::set<std::string>& params,
+                        const std::string& where,
+                        std::map<std::string, std::string>& undeclared) {
+  for (const Range& range : ranges) {
+    for (const Expr* bound : {&range.begin, &range.end, &range.step}) {
+      collect_undeclared(*bound, declared, params, where, undeclared);
+    }
+  }
+}
+
+void report_undeclared(const std::map<std::string, std::string>& undeclared,
+                       const std::string& state,
+                       std::vector<ValidationIssue>& issues) {
+  for (const auto& [symbol, where] : undeclared) {
+    issues.push_back({state, "undeclared symbol '" + symbol + "' in " +
+                                 where + " (declare it as a program symbol)"});
+  }
+}
 
 void validate_state(const Sdfg& sdfg, const State& state,
                     std::vector<ValidationIssue>& issues) {
@@ -116,6 +153,31 @@ void validate_state(const Sdfg& sdfg, const State& state,
   } catch (const std::logic_error&) {
     report("state dataflow graph is cyclic");
   }
+
+  // Every symbol of a map range or memlet is declared or a map parameter.
+  std::set<std::string> params;
+  for (const Node& node : state.nodes()) {
+    if (node.kind != NodeKind::MapEntry) continue;
+    params.insert(node.map.params.begin(), node.map.params.end());
+  }
+  std::map<std::string, std::string> undeclared;
+  for (const Node& node : state.nodes()) {
+    if (node.kind != NodeKind::MapEntry) continue;
+    collect_undeclared(node.map.ranges, sdfg.symbols(), params,
+                       "the range of map '" + node.map.label + "'",
+                       undeclared);
+  }
+  for (const Edge& edge : state.edges()) {
+    if (edge.memlet.is_empty()) continue;
+    const std::string where = "a memlet on '" + edge.memlet.data + "'";
+    collect_undeclared(edge.memlet.subset.ranges, sdfg.symbols(), params,
+                       where, undeclared);
+    collect_undeclared(edge.memlet.other_subset.ranges, sdfg.symbols(),
+                       params, where, undeclared);
+    collect_undeclared(edge.memlet.volume, sdfg.symbols(), params, where,
+                       undeclared);
+  }
+  report_undeclared(undeclared, state.name(), issues);
 }
 
 }  // namespace
@@ -124,7 +186,18 @@ std::vector<ValidationIssue> validate(const Sdfg& sdfg) {
   std::vector<ValidationIssue> issues;
 
   // Descriptor sanity.
+  const std::set<std::string> no_params;
+  std::map<std::string, std::string> undeclared;
   for (const auto& [name, descriptor] : sdfg.arrays()) {
+    const std::string where = "container '" + name + "'";
+    for (const Expr& extent : descriptor.shape) {
+      collect_undeclared(extent, sdfg.symbols(), no_params, where, undeclared);
+    }
+    for (const Expr& stride : descriptor.strides) {
+      collect_undeclared(stride, sdfg.symbols(), no_params, where, undeclared);
+    }
+    collect_undeclared(descriptor.start_offset, sdfg.symbols(), no_params,
+                       where, undeclared);
     if (descriptor.shape.size() != descriptor.strides.size()) {
       issues.push_back(
           {"", "container '" + name + "' has shape/strides rank mismatch"});
@@ -134,6 +207,8 @@ std::vector<ValidationIssue> validate(const Sdfg& sdfg) {
           {"", "container '" + name + "' has non-positive element size"});
     }
   }
+
+  report_undeclared(undeclared, "", issues);
 
   for (const State& state : sdfg.states()) {
     validate_state(sdfg, state, issues);

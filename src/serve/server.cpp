@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "dmv/ir/json_reader.hpp"
+#include "dmv/ir/validate.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/store/artifact_store.hpp"
 #include "dmv/util/json.hpp"
@@ -152,11 +153,16 @@ struct Server::Impl {
       }
     }
     if (params.has("sdfg")) {
+      // Building the program can fail past the JSON reader (e.g. a
+      // descriptor's shape/strides rank mismatch), and a well-formed
+      // program can still be invalid (a cycle, an undeclared symbol):
+      // either way the client sent a bad program.
       try {
         ir::Sdfg program = ir::from_json(json::dump(params.at("sdfg")));
+        ir::validate_or_throw(program);
         *name_out = program.name();
         return program;
-      } catch (const ir::JsonError& error) {
+      } catch (const std::exception& error) {
         throw RequestError("bad_program", error.what());
       }
     }
@@ -268,8 +274,8 @@ struct Server::Impl {
   }
 
   // A binding the program cannot run under — an unbound symbol, a
-  // non-positive extent or step, an access past a fixed capacity — is
-  // the client's fault: bad_request, not internal.
+  // non-positive extent or step, an access past a fixed capacity, a
+  // division by zero — is the client's fault: bad_request, not internal.
   static std::shared_ptr<const sim::PipelineResult> evaluate_step(
       session::Session& session) {
     try {
@@ -279,6 +285,8 @@ struct Server::Impl {
     } catch (const std::invalid_argument& error) {
       throw RequestError("bad_request", error.what());
     } catch (const std::out_of_range& error) {
+      throw RequestError("bad_request", error.what());
+    } catch (const std::domain_error& error) {
       throw RequestError("bad_request", error.what());
     }
   }

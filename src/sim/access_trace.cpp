@@ -21,6 +21,13 @@ using symbolic::CompiledExpr;
 using symbolic::LaneEnv;
 using symbolic::SymbolTable;
 
+// Lane width W of the batched innermost loops: eight iteration points
+// per dispatch. The one-point loop is 1.8-4.3x slower on the served
+// programs and no other width beats 8 on all of them
+// (docs/simulation.md).
+constexpr int kLaneWidth = 8;
+static_assert(kLaneWidth <= symbolic::kMaxLaneWidth);
+
 // Container placement shared by the serial simulator and the parallel
 // drivers (which place once up front and hand the layouts to every
 // chunk). Iterates sdfg.arrays() — an ordered map — so the container
@@ -42,14 +49,8 @@ void place_containers_into(const Sdfg& sdfg, const SymbolMap& symbols,
 class Simulator {
  public:
   Simulator(const Sdfg& sdfg, const SymbolMap& symbols,
-            const SimulationOptions& options, EventSink* sink = nullptr)
-      : sdfg_(sdfg), symbols_(symbols), options_(options), sink_(sink) {}
-
-  AccessTrace run() {
-    AccessTrace trace;
-    run_into(trace);
-    return trace;
-  }
+            const SimulationOptions& options)
+      : sdfg_(sdfg), symbols_(symbols), options_(options) {}
 
   void run_into(AccessTrace& trace) {
     // Reuse the caller's buffers: clear() keeps the event columns'
@@ -61,7 +62,6 @@ class Simulator {
     trace_ = &trace;
     place_containers_into(sdfg_, symbols_, options_, trace, &container_ids_);
     layouts_ = &trace.layouts;
-    if (sink_) sink_->on_trace_header(trace);
     for (const State& state : sdfg_.states()) {
       // Topo order + adjacency built once per state (in_edges/out_edges
       // scan all edges, which would be paid per tasklet per iteration).
@@ -70,14 +70,13 @@ class Simulator {
       execute_scope(state, ir::kNoNode);
     }
     trace.executions = execution_;
-    if (sink_) sink_->on_trace_end(execution_);
   }
 
   /// Generates exactly one plan chunk, starting mid-iteration-space with
   /// absolute timestep/execution stamps from the plan. `header` supplies
   /// the placed layouts; events go to `out` — written at their absolute
   /// slice indices when `absolute` (the pre-sized disjoint-slice path),
-  /// appended otherwise (streaming chunk buffers, test validation).
+  /// appended otherwise (test validation).
   void run_chunk(const AccessTrace& header, const TraceChunk& chunk,
                  EventList& out, bool absolute) {
     layouts_ = &header.layouts;
@@ -144,7 +143,7 @@ class Simulator {
   // -- Lane-batched innermost loops ----------------------------------
   //
   // For a map whose scope is pure tasklets, the innermost loop advances
-  // `lane_width_` iteration points per step: every subset-bound
+  // kLaneWidth iteration points per step: every subset-bound
   // expression that reads the innermost parameter is evaluated for all
   // W lanes in one batched pass (symbolic/batched.hpp), expressions
   // invariant in that parameter are evaluated once per loop entry, and
@@ -308,13 +307,10 @@ class Simulator {
         compiled.has_other = true;
       }
     }
-    lane_width_ = std::clamp(options_.lane_width, 1, symbolic::kMaxLaneWidth);
     batched_scopes_.assign(state.num_nodes(), {});
-    if (lane_width_ > 1) {
-      for (const Node& node : state.nodes()) {
-        if (node.kind != NodeKind::MapEntry) continue;
-        build_batched_scope(state, node);
-      }
+    for (const Node& node : state.nodes()) {
+      if (node.kind != NodeKind::MapEntry) continue;
+      build_batched_scope(state, node);
     }
     table_.bind(symbols_, env_values_, env_bound_);
   }
@@ -450,7 +446,7 @@ class Simulator {
   }
 
   /// Runs `count` innermost iteration points (values first, first+step,
-  /// ...) of a batchable scope, `lane_width_` lanes at a time. Bounds
+  /// ...) of a batchable scope, kLaneWidth lanes at a time. Bounds
   /// invariant in the lane parameter are evaluated once per entry (the
   /// scalar loop recomputes them per point against an identical
   /// environment, so the values — and any exception — are the same);
@@ -463,7 +459,7 @@ class Simulator {
                                  std::int64_t begin, std::int64_t count,
                                  std::int64_t step) {
     if (count <= 0) return;
-    const int W = lane_width_;
+    constexpr int W = kLaneWidth;
     const int slot = scope.lane_slot;
     invariant_vals_.resize(scope.invariant.size());
     try {
@@ -505,7 +501,7 @@ class Simulator {
         continue;
       }
       for (int l = 0; l < active; ++l) {
-        drain_lane(scope, l, W);
+        drain_lane(scope, l);
       }
     }
     // Leave the parameter as the scalar loop does: bound to the last
@@ -517,15 +513,15 @@ class Simulator {
   /// Emits one lane's events: every tasklet's memlet runs in order,
   /// bounds read from the batched results, elements walked by the same
   /// odometer as enumerate_subset.
-  void drain_lane(const BatchedScope& scope, int lane, int width) {
+  void drain_lane(const BatchedScope& scope, int lane) {
     for (const BatchedTasklet& tasklet : scope.tasklets) {
       for (const BatchedRun& run : tasklet.runs) {
         auto& bounds = bounds_scratch_;
         bounds.clear();
         for (const BatchedRangeRef& range : run.ranges) {
-          bounds.push_back({lane_value(range.begin, lane, width),
-                            lane_value(range.end, lane, width),
-                            lane_value(range.step, lane, width)});
+          bounds.push_back({lane_value(range.begin, lane),
+                            lane_value(range.end, lane),
+                            lane_value(range.step, lane)});
         }
         layout::Index& cursor = cursor_scratch_;
         cursor.assign(bounds.size(), 0);
@@ -551,9 +547,10 @@ class Simulator {
     }
   }
 
-  std::int64_t lane_value(const BatchedRef& ref, int lane, int width) const {
+  std::int64_t lane_value(const BatchedRef& ref, int lane) const {
     return ref.varying
-               ? lane_out_[static_cast<std::size_t>(ref.index) * width + lane]
+               ? lane_out_[static_cast<std::size_t>(ref.index) * kLaneWidth +
+                           lane]
                : invariant_vals_[static_cast<std::size_t>(ref.index)];
   }
 
@@ -673,9 +670,7 @@ class Simulator {
     event.timestep = timestep_++;
     event.execution = execution_;
     event.tasklet = tasklet;
-    if (sink_) {
-      sink_->on_event(event);  // Streaming: nothing is materialized.
-    } else if (out_) {
+    if (out_) {
       // Chunk mode: the plan fixed this chunk's event range up front, so
       // emitting past it means the planner under-counted — fail loudly
       // instead of corrupting a neighboring slice.
@@ -696,7 +691,6 @@ class Simulator {
   const Sdfg& sdfg_;
   const SymbolMap& symbols_;
   const SimulationOptions& options_;
-  EventSink* sink_ = nullptr;
   AccessTrace* trace_ = nullptr;
   /// Placed layouts events resolve against: the owned trace's layouts in
   /// a full run, the shared header's in chunk mode.
@@ -720,7 +714,6 @@ class Simulator {
   std::vector<std::int64_t> lane_out_;        ///< [varying index * W + lane].
   std::vector<std::int64_t> invariant_vals_;  ///< [invariant index].
   std::vector<std::int64_t> lane_param_;      ///< W point values, scratch.
-  int lane_width_ = 1;
   std::vector<std::array<std::int64_t, 3>> bounds_scratch_;
   layout::Index cursor_scratch_;
   std::int64_t timestep_ = 0;
@@ -768,12 +761,9 @@ AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
 }
 
 void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
-                   const SimulationOptions& options, AccessTrace& trace,
-                   TraceArena* arena) {
+                   const SimulationOptions& options, AccessTrace& trace) {
   if (parallel_generation_possible()) {
-    TracePlan local_plan;
-    TracePlan& plan = arena ? arena->plan : local_plan;
-    plan_trace_into(sdfg, symbols, options, 0, plan);
+    const TracePlan plan = plan_trace(sdfg, symbols, options);
     if (plan_is_worthwhile(plan)) {
       trace.containers.clear();
       trace.layouts.clear();
@@ -786,10 +776,9 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
       par::parallel_for(plan.chunks.size(), 1,
                         [&](std::size_t begin, std::size_t end) {
                           for (std::size_t c = begin; c < end; ++c) {
-                            Simulator chunk_sim(sdfg, symbols, options);
-                            chunk_sim.run_chunk(trace, plan.chunks[c],
-                                                trace.events,
-                                                /*absolute=*/true);
+                            simulate_chunk(sdfg, symbols, options, trace,
+                                           plan.chunks[c], trace.events,
+                                           /*absolute=*/true);
                           }
                         });
       trace.executions = plan.total_executions;
@@ -797,61 +786,6 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
     }
   }
   Simulator(sdfg, symbols, options).run_into(trace);
-}
-
-AccessTrace simulate_stream(const Sdfg& sdfg, const SymbolMap& symbols,
-                            EventSink& sink, const SimulationOptions& options,
-                            TraceArena* arena) {
-  if (parallel_generation_possible()) {
-    TracePlan local_plan;
-    TracePlan& plan = arena ? arena->plan : local_plan;
-    plan_trace_into(sdfg, symbols, options, 0, plan);
-    if (plan_is_worthwhile(plan)) {
-      AccessTrace header;
-      place_containers_into(sdfg, symbols, options, header, nullptr);
-      sink.on_trace_header(header);
-      // Ordered hand-off: producers fill per-chunk buffers out of order;
-      // the sequencer (ordered_pipeline's consumer side, this thread)
-      // drains them to the sink in chunk order. Events carry absolute
-      // timestep/execution stamps, so the sink sees simulate()'s exact
-      // serial call sequence. window = threads + 1 keeps every producer
-      // busy while the chunk being drained stays untouched.
-      const std::size_t window =
-          static_cast<std::size_t>(par::num_threads()) + 1;
-      std::vector<EventList> local_buffers;
-      std::vector<EventList>& buffers =
-          arena ? arena->chunk_buffers : local_buffers;
-      if (buffers.size() < window) buffers.resize(window);
-      par::ordered_pipeline(
-          plan.chunks.size(), window,
-          [&](std::size_t c) {
-            EventList& buffer = buffers[c % window];
-            buffer.clear();
-            Simulator chunk_sim(sdfg, symbols, options);
-            chunk_sim.run_chunk(header, plan.chunks[c], buffer,
-                                /*absolute=*/false);
-          },
-          [&](std::size_t c) {
-            const EventList& buffer = buffers[c % window];
-            const std::size_t n = buffer.size();
-            for (std::size_t i = 0; i < n; ++i) sink.on_event(buffer[i]);
-          });
-      sink.on_trace_end(plan.total_executions);
-      header.executions = plan.total_executions;
-      return header;
-    }
-  }
-  AccessTrace header;
-  Simulator(sdfg, symbols, options, &sink).run_into(header);
-  return header;
-}
-
-void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
-                    const SimulationOptions& options,
-                    const AccessTrace& header, const TraceChunk& chunk,
-                    EventList& out) {
-  Simulator chunk_sim(sdfg, symbols, options);
-  chunk_sim.run_chunk(header, chunk, out, /*absolute=*/false);
 }
 
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,

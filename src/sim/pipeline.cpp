@@ -32,7 +32,6 @@ double ms_since(Clock::time_point start) {
 // per binding.
 struct ArenaState {
   AccessTrace trace;        ///< run(sdfg) materialization target.
-  TraceArena trace_arena;   ///< Chunk plan + streaming ring buffers.
   /// The metric engine's resumable state of the most recent pass.
   merge::Live live;
 
@@ -169,7 +168,7 @@ PipelineResult MetricPipeline::run(const Sdfg& sdfg, const SymbolMap& symbols,
   // clears the buffer, and clear() releases the backing without the
   // cost of decoding it.
   const auto start = Clock::now();
-  simulate_into(sdfg, symbols, options, arena_->trace, &arena_->trace_arena);
+  simulate_into(sdfg, symbols, options, arena_->trace);
   timings_ = {};
   timings_.simulate_ms = ms_since(start);
   // Simulator output never leaves its layouts: no bound widening.
@@ -191,9 +190,7 @@ namespace {
 constexpr int kDeltaMaxChunks = 1 << 20;
 
 // Fingerprint of the SimulationOptions fields that can change the
-// simulator's OUTPUT. lane_width is excluded on purpose: it is a
-// bit-identical execution strategy, so changing it must not invalidate
-// a checkpoint.
+// simulator's OUTPUT — today every field.
 std::uint64_t delta_options_fingerprint(const SimulationOptions& options) {
   std::uint64_t hash = 1469598103934665603ull;
   auto mix = [&hash](std::uint64_t value) {
@@ -494,7 +491,7 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
   arena.ckpt_valid = false;
   arena.live_valid = false;
   const auto cold_start = Clock::now();
-  simulate_into(sdfg, symbols, options, arena.trace, &arena.trace_arena);
+  simulate_into(sdfg, symbols, options, arena.trace);
   timings_ = {};
   timings_.simulate_ms = ms_since(cold_start);
   PipelineResult result =

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -14,6 +15,7 @@
 #include "dmv/symbolic/compiled.hpp"
 #include "dmv/symbolic/expr.hpp"
 #include "dmv/symbolic/parser.hpp"
+#include "reference_trace.hpp"
 
 // Contract of the lane-batched evaluator: for every lane L, the batched
 // result equals scalar evaluation of the same program against lane L's
@@ -228,37 +230,24 @@ ir::Sdfg two_dim_program() {
 
 TEST(BatchedTrace, TailMaskCoversEveryTripCount) {
   // Trip counts around the lane width W=8: 0, 1, W-1, W, W+1 (and a
-  // multi-batch 2W+3). The batched trace must equal the scalar trace
-  // exactly — the padded tail lanes must not emit.
+  // multi-batch 2W+3). The batched trace must equal the reference
+  // tracer's exactly — the padded tail lanes must not emit.
   const ir::Sdfg programs[] = {one_dim_program(), two_dim_program()};
   for (const ir::Sdfg& sdfg : programs) {
     for (const std::int64_t n : {0, 1, 7, 8, 9, 19}) {
       const symbolic::SymbolMap binding{{"N", n}};
-      SimulationOptions scalar;
-      scalar.lane_width = 1;
-      SimulationOptions batched;
-      batched.lane_width = 8;
       SCOPED_TRACE("N=" + std::to_string(n));
       par::ThreadScope serial(1);
-      expect_traces_identical(simulate(sdfg, binding, scalar),
-                              simulate(sdfg, binding, batched));
+      expect_traces_identical(reference_trace(sdfg, binding),
+                              simulate(sdfg, binding));
     }
   }
 }
 
-// Records the exact emission sequence up to an exception.
-class RecordingSink : public EventSink {
- public:
-  void on_trace_header(const AccessTrace&) override {}
-  void on_event(const AccessEvent& event) override { events.push_back(event); }
-  void on_trace_end(std::int64_t) override {}
-  std::vector<AccessEvent> events;
-};
-
 TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
   // A[i % (4 - i)] throws std::domain_error (modulo by zero) at i == 4 —
   // lane 4 of the first batch. The batched engine must emit exactly the
-  // events of iterations 0..3 and then throw, like the scalar loop.
+  // events of iterations 0..3 and then throw, like the reference walk.
   builder::ProgramBuilder program("faulty");
   program.array("A", {"16"});
   program.array("B", {"16"});
@@ -266,60 +255,46 @@ TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
   program.mapped_tasklet("t", {{"i", "0:9"}}, {{"a", "A", "i % (4 - i)"}},
                          "b = a", {{"b", "B", "i"}});
   const ir::Sdfg sdfg = program.take();
+  EXPECT_THROW(reference_trace(sdfg, {}), std::domain_error);
 
-  auto run = [&](int lanes) {
-    SimulationOptions options;
-    options.lane_width = lanes;
-    par::ThreadScope serial(1);
-    RecordingSink sink;
-    bool threw = false;
-    try {
-      simulate_stream(sdfg, {}, sink, options);
-    } catch (const std::domain_error&) {
-      threw = true;
-    }
-    EXPECT_TRUE(threw) << "lanes=" << lanes;
-    return sink.events;
+  // The serial engine appends to the caller's trace as it goes, so the
+  // events before the fault stay visible after the throw.
+  par::ThreadScope serial(1);
+  AccessTrace trace;
+  EXPECT_THROW(simulate_into(sdfg, {}, {}, trace), std::domain_error);
+  // Iterations 0..3 read A[i % (4 - i)] = A[0], A[1], A[0], A[0] and
+  // write B[i]; A is container 0 and B container 1.
+  struct Expected {
+    std::int32_t container;
+    std::int64_t flat;
+    bool is_write;
+    std::int64_t execution;
   };
-  const std::vector<AccessEvent> scalar = run(1);
-  const std::vector<AccessEvent> batched = run(8);
-  // Iterations 0..3 emit one read + one write each.
-  ASSERT_EQ(scalar.size(), 8u);
-  ASSERT_EQ(batched.size(), scalar.size());
-  for (std::size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(scalar[i].container, batched[i].container) << "event " << i;
-    EXPECT_EQ(scalar[i].flat, batched[i].flat) << "event " << i;
-    EXPECT_EQ(scalar[i].is_write, batched[i].is_write) << "event " << i;
-    EXPECT_EQ(scalar[i].timestep, batched[i].timestep) << "event " << i;
+  const Expected expected[] = {{0, 0, false, 0}, {1, 0, true, 0},
+                               {0, 1, false, 1}, {1, 1, true, 1},
+                               {0, 0, false, 2}, {1, 2, true, 2},
+                               {0, 0, false, 3}, {1, 3, true, 3}};
+  ASSERT_EQ(trace.events.size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const AccessEvent event = trace.events[i];
+    EXPECT_EQ(event.container, expected[i].container) << "event " << i;
+    EXPECT_EQ(event.flat, expected[i].flat) << "event " << i;
+    EXPECT_EQ(event.is_write, expected[i].is_write) << "event " << i;
+    EXPECT_EQ(event.timestep, static_cast<std::int64_t>(i)) << "event " << i;
+    EXPECT_EQ(event.execution, expected[i].execution) << "event " << i;
   }
 }
 
 TEST(BatchedTrace, UnboundSymbolThrowsIdentically) {
-  // Bounds referencing a never-bound symbol: both engines must throw
-  // UnboundSymbolError (here the invariant-hoist path faults and
-  // replays scalar).
+  // A never-bound symbol: the engine must throw UnboundSymbolError like
+  // the reference walk, at 1 thread and with the planner engaged.
   const ir::Sdfg sdfg = one_dim_program();
-  for (const int lanes : {1, 8}) {
-    SimulationOptions options;
-    options.lane_width = lanes;
-    par::ThreadScope serial(1);
-    EXPECT_THROW(simulate(sdfg, {}, options), symbolic::UnboundSymbolError)
-        << "lanes=" << lanes;
+  EXPECT_THROW(reference_trace(sdfg, {}), symbolic::UnboundSymbolError);
+  for (const int threads : {1, 4}) {
+    par::ThreadScope scope(threads);
+    EXPECT_THROW(simulate(sdfg, {}), symbolic::UnboundSymbolError)
+        << "threads=" << threads;
   }
-}
-
-TEST(BatchedTrace, OversizedLaneWidthIsClamped) {
-  const ir::Sdfg sdfg = one_dim_program();
-  const symbolic::SymbolMap binding{{"N", 37}};
-  SimulationOptions scalar;
-  scalar.lane_width = 1;
-  SimulationOptions huge;
-  huge.lane_width = 1 << 20;  // Clamped to kMaxLaneWidth.
-  SimulationOptions negative;
-  negative.lane_width = -3;  // Clamped to scalar.
-  const AccessTrace reference = simulate(sdfg, binding, scalar);
-  expect_traces_identical(reference, simulate(sdfg, binding, huge));
-  expect_traces_identical(reference, simulate(sdfg, binding, negative));
 }
 
 }  // namespace

@@ -144,28 +144,24 @@ std::vector<WorkloadCase> identity_cases() {
   return cases;
 }
 
-// --- Bit-identity across workloads x threads x lanes -----------------
+// --- Bit-identity across workloads x threads ---------------------------
 
 TEST(IncrementalDeltaTest, MatchesColdRecomputeAcrossWorkloadsThreadsLanes) {
   for (WorkloadCase& wc : identity_cases()) {
     for (int threads : {1, 8}) {
       par::ThreadScope scope(threads);
-      for (int lanes : {1, 8}) {
-        SimulationOptions options;
-        options.lane_width = lanes;
-        MetricPipeline delta(full_config());  // Persistent across steps.
-        for (std::size_t step = 0; step < wc.bindings.size(); ++step) {
-          SCOPED_TRACE(std::string(wc.name) + " threads=" +
-                       std::to_string(threads) + " lanes=" +
-                       std::to_string(lanes) + " step=" +
-                       std::to_string(step));
-          DeltaOutcome outcome;
-          PipelineResult got =
-              delta.run_delta(wc.sdfg, 1, wc.bindings[step], options,
-                              &outcome);
-          expect_results_equal(got, reference(wc.sdfg, wc.bindings[step],
-                                          options));
-        }
+      SimulationOptions options;
+      MetricPipeline delta(full_config());  // Persistent across steps.
+      for (std::size_t step = 0; step < wc.bindings.size(); ++step) {
+        SCOPED_TRACE(std::string(wc.name) + " threads=" +
+                     std::to_string(threads) + " step=" +
+                     std::to_string(step));
+        DeltaOutcome outcome;
+        PipelineResult got =
+            delta.run_delta(wc.sdfg, 1, wc.bindings[step], options,
+                            &outcome);
+        expect_results_equal(got, reference(wc.sdfg, wc.bindings[step],
+                                            options));
       }
     }
   }
@@ -253,15 +249,6 @@ TEST(IncrementalDeltaTest, ProgramOrOptionsChangeInvalidatesCheckpoint) {
   delta.run_delta(sdfg, 2, cap_binding(7), wcr, &outcome);
   EXPECT_EQ(outcome.path, DeltaOutcome::Path::kCold);
   EXPECT_STREQ(outcome.reason, "options changed");
-
-  // Execution-strategy knobs (bit-identical by contract) do NOT: only
-  // lane width changes here, and the step stays a chunk delta.
-  SimulationOptions lanes = wcr;
-  lanes.lane_width = wcr.lane_width == 1 ? 8 : 1;
-  PipelineResult got = delta.run_delta(sdfg, 2, cap_binding(8), lanes,
-                                       &outcome);
-  EXPECT_EQ(outcome.path, DeltaOutcome::Path::kChunkDelta);
-  expect_results_equal(got, reference(sdfg, cap_binding(8), lanes));
 }
 
 TEST(IncrementalDeltaTest, InterleavedPublicRunInvalidatesCheckpoint) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "dmv/ir/data.hpp"
 #include "dmv/ir/graph.hpp"
 #include "dmv/ir/memlet.hpp"
@@ -267,6 +270,42 @@ TEST(Validate, RejectsBadElementSize) {
   d.element_size = 0;
   sdfg.add_array(std::move(d));
   EXPECT_FALSE(validate(sdfg).empty());
+}
+
+TEST(Validate, RejectsUndeclaredSymbols) {
+  // Each kind of expression that can read a symbol, with a fresh
+  // undeclared one: shape, stride, start offset, map range, memlet
+  // subset, memlet volume. Map parameters are in scope and not reported.
+  Sdfg sdfg = valid_sdfg();
+  auto shaped = DataDescriptor::array("C", {symbolic::parse("S1")});
+  shaped.strides = {symbolic::parse("S2")};
+  shaped.start_offset = symbolic::parse("S3");
+  sdfg.add_array(std::move(shaped));
+  State& state = sdfg.states()[0];
+  auto [entry, exit] = state.add_map(
+      MapInfo{"m2", {"j"}, {Range{Expr(0), symbolic::parse("S4"), Expr(1)}}});
+  NodeId t = state.add_tasklet("t2", "o = v", entry);
+  Memlet read = Memlet::simple("A", "j / S5");
+  read.volume = symbolic::parse("S6");
+  state.add_edge(entry, t, std::move(read), "", "v");
+  state.add_edge(t, exit, Memlet::simple("B", "j"), "o", "");
+
+  std::set<std::string> reported;
+  for (const ValidationIssue& issue : validate(sdfg)) {
+    const std::size_t open = issue.message.find("undeclared symbol '");
+    if (open == std::string::npos) continue;
+    const std::size_t begin = open + std::string("undeclared symbol '").size();
+    reported.insert(
+        issue.message.substr(begin, issue.message.find('\'', begin) - begin));
+  }
+  EXPECT_EQ(reported, (std::set<std::string>{"S1", "S2", "S3", "S4", "S5",
+                                             "S6"}));
+
+  // Declaring them clears every report.
+  for (const char* symbol : {"S1", "S2", "S3", "S4", "S5", "S6"}) {
+    sdfg.add_symbol(symbol);
+  }
+  EXPECT_TRUE(validate(sdfg).empty());
 }
 
 TEST(Serialize, JsonContainsStructure) {

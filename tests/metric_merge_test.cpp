@@ -50,33 +50,27 @@ PipelineConfig merge_config() {
   return config;
 }
 
-/// Standalone passes vs the engine at {1, 2, 4, 8} threads and lane
-/// widths {1, 8}, across the materialized, generating and delta drives.
+/// Standalone passes vs the engine at {1, 2, 4, 8} threads, across the
+/// materialized, generating and delta drives.
 void check_bit_identity(const ir::Sdfg& sdfg,
                         const std::vector<symbolic::SymbolMap>& bindings,
                         const std::string& name) {
   for (std::size_t b = 0; b < bindings.size(); ++b) {
     const symbolic::SymbolMap& binding = bindings[b];
-    for (const int lanes : {1, 8}) {
-      SimulationOptions options;
-      options.lane_width = lanes;
-      const AccessTrace trace = simulate(sdfg, binding, options);
-      const PipelineResult expected =
-          standalone_result(trace, merge_config());
-      for (const int threads : {1, 2, 4, 8}) {
-        par::ThreadScope scope(threads);
-        const std::string context = name + " binding " + std::to_string(b) +
-                                    " lanes " + std::to_string(lanes) +
-                                    " threads " + std::to_string(threads);
-        MetricPipeline merged(merge_config());
-        expect_results_equal(merged.run(trace), expected,
-                             context + " run(trace)");
-        expect_results_equal(merged.run(sdfg, binding, options), expected,
-                             context + " run(sdfg)");
-        expect_results_equal(
-            merged.run_delta(sdfg, /*program_version=*/7, binding, options),
-            expected, context + " delta");
-      }
+    const AccessTrace trace = simulate(sdfg, binding);
+    const PipelineResult expected = standalone_result(trace, merge_config());
+    for (const int threads : {1, 2, 4, 8}) {
+      par::ThreadScope scope(threads);
+      const std::string context = name + " binding " + std::to_string(b) +
+                                  " threads " + std::to_string(threads);
+      MetricPipeline merged(merge_config());
+      expect_results_equal(merged.run(trace), expected,
+                           context + " run(trace)");
+      expect_results_equal(merged.run(sdfg, binding), expected,
+                           context + " run(sdfg)");
+      expect_results_equal(
+          merged.run_delta(sdfg, /*program_version=*/7, binding), expected,
+          context + " delta");
     }
   }
 }

@@ -19,8 +19,7 @@ namespace dmv::sim {
 
 /// Full trace of `sdfg` under `symbols`: containers, layouts, every
 /// event in serial order, and the execution count. Honors
-/// options.placement_alignment and options.wcr_reads; lane_width is an
-/// execution strategy and has no meaning here.
+/// options.placement_alignment and options.wcr_reads.
 AccessTrace reference_trace(const ir::Sdfg& sdfg,
                             const symbolic::SymbolMap& symbols,
                             const SimulationOptions& options = {});

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "dmv/builder/program_builder.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/serve/server.hpp"
@@ -63,6 +64,27 @@ std::vector<std::string> reference_checksums(
   return checksums;
 }
 
+/// The one-map program B[i] = A[i / D] over i in 0:N-1 (A and B of
+/// shape N, symbols N and D declared).
+dmv::ir::Sdfg div_program() {
+  dmv::builder::ProgramBuilder program("div");
+  program.symbols({"N", "D"});
+  program.array("A", {"N"});
+  program.array("B", {"N"});
+  program.state("s");
+  program.mapped_tasklet("t", {{"i", "0:N-1"}}, {{"a", "A", "i / D"}},
+                         "b = a", {{"b", "B", "i"}});
+  return program.take();
+}
+
+std::string open_inline_request(const std::string& session,
+                                const std::string& sdfg_json,
+                                const std::string& binding) {
+  return "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":\"" +
+         session + "\",\"sdfg\":" + sdfg_json + ",\"binding\":" + binding +
+         "}}";
+}
+
 // ---------------------------------------------------------------------
 // Protocol basics and error shapes.
 
@@ -88,10 +110,42 @@ TEST(ServeProtocolTest, OpenBindStepRoundtrip) {
 }
 
 TEST(ServeProtocolTest, MalformedRequestsGetErrorResponses) {
+  // Inline programs that fail to build (rank-0 strides) or to validate
+  // (a cycle, a zero element size, an undeclared symbol) are rejected at
+  // open_program, before any step can run them.
+  const Value valid = dmv::json::parse(dmv::ir::to_json(div_program()));
+  auto node_id = [&](const char* data) {
+    for (const Value& node :
+         valid.at("states").as_array()[0].at("nodes").as_array()) {
+      if (node.has("data") && node.at("data").as_string() == data) {
+        return node.at("id").as_int();
+      }
+    }
+    ADD_FAILURE() << "no access node for " << data;
+    return std::int64_t{-1};
+  };
+  auto open_inline = [](const Value& sdfg) {
+    return open_inline_request("p", dmv::json::dump(sdfg),
+                               "{\"N\":16,\"D\":2}");
+  };
+  Value rank0_strides = valid;
+  rank0_strides["containers"].array[0]["strides"] = Value::make_array();
+  Value cyclic = valid;
+  Value back_edge = Value::make_object();
+  back_edge["src"] = Value::of(node_id("B"));
+  back_edge["dst"] = Value::of(node_id("A"));
+  cyclic["states"].array[0]["edges"].push(back_edge);
+  Value zero_element = valid;
+  zero_element["containers"].array[0]["element_size"] = Value::of(0);
+  Value undeclared = valid;
+  undeclared["symbols"] = Value::make_array();
+  undeclared["symbols"].push(Value::of("N"));
+
   Server server;
   struct Case {
-    const char* line;
+    std::string line;
     const char* code;
+    const char* message = "";
   };
   const Case cases[] = {
       {"not json at all", "parse_error"},
@@ -105,18 +159,26 @@ TEST(ServeProtocolTest, MalformedRequestsGetErrorResponses) {
        "bad_program"},
       {"{\"id\":5,\"method\":\"open_program\",\"params\":{\"session\":\"a\"}}",
        "bad_request"},  // Neither workload nor sdfg.
+      {open_inline(rank0_strides), "bad_program",
+       "shape/strides rank mismatch"},
+      {open_inline(cyclic), "bad_program", "cyclic"},
+      {open_inline(zero_element), "bad_program", "non-positive element size"},
+      {open_inline(undeclared), "bad_program", "undeclared symbol 'D'"},
   };
   for (const Case& c : cases) {
     const Value response = parse_line(server.handle(c.line));
     ASSERT_TRUE(response.has("error")) << c.line;
     EXPECT_EQ(response.at("error").at("code").as_string(), c.code) << c.line;
-    EXPECT_FALSE(response.at("error").at("message").as_string().empty());
+    const std::string& message = response.at("error").at("message").as_string();
+    EXPECT_FALSE(message.empty());
+    EXPECT_NE(message.find(c.message), std::string::npos) << message;
   }
-  // Error handling must not have corrupted anything: a valid request
-  // still works.
+  // Error handling must not have corrupted anything: valid requests
+  // still work.
   const Value ok = parse_line(server.handle(open_request("a", "hdiff")));
   EXPECT_TRUE(ok.has("result"));
-  EXPECT_EQ(server.stats().errors, 6);
+  EXPECT_TRUE(parse_line(server.handle(open_inline(valid))).has("result"));
+  EXPECT_EQ(server.stats().errors, 10);
 }
 
 TEST(ServeProtocolTest, StepWithBadParamsReportsBadRequest) {
@@ -134,8 +196,8 @@ TEST(ServeProtocolTest, StepWithBadParamsReportsBadRequest) {
 
 TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
   // A binding the program cannot run under is the client's fault: a
-  // negative extent, a symbol left unbound, and a slider moved past a
-  // fixed capacity all map to bad_request.
+  // negative extent, a symbol left unbound, a slider moved past a fixed
+  // capacity, and a division by zero all map to bad_request.
   Server server;
   server.handle(open_request("a", "hdiff"));
   const dmv::ir::Sdfg fixed = dmv::workloads::fixed_capacity(
@@ -146,6 +208,9 @@ TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
       "{\"id\":1,\"method\":\"open_program\",\"params\":{\"session\":"
       "\"b\",\"sdfg\":" +
       dmv::ir::to_json(fixed) + ",\"binding\":" + in_capacity + "}}");
+  const std::string divisible = "{\"N\":16,\"D\":2}";
+  server.handle(
+      open_inline_request("c", dmv::ir::to_json(div_program()), divisible));
   struct Case {
     const char* session;
     const char* binding;
@@ -156,6 +221,7 @@ TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
       {"a", "{\"I\":8,\"J\":8}", "unbound symbol in evaluation: K"},
       {"b", "{\"I\":8,\"J\":8,\"K\":12,\"KMAX\":10}",
        "access out of bounds"},
+      {"c", "{\"N\":16,\"D\":0}", "division by zero"},
   };
   for (const Case& c : cases) {
     const Value response = parse_line(server.handle(
@@ -186,7 +252,18 @@ TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
   lone.set_binding({{"I", 8}, {"J", 8}, {"K", 6}, {"KMAX", 10}});
   EXPECT_EQ(back.at("result").at("checksum").as_string(),
             std::to_string(dmv::serve::result_checksum(*lone.metrics())));
-  EXPECT_EQ(server.stats().errors, 3);
+  const Value divided = parse_line(server.handle(
+      "{\"id\":5,\"method\":\"step\",\"params\":{\"session\":\"c\","
+      "\"binding\":" +
+      divisible + "}}"));
+  ASSERT_TRUE(divided.has("result")) << dmv::json::dump(divided);
+  dmv::session::SessionConfig div_config;
+  div_config.prefetch = false;
+  dmv::session::Session lone_div(div_program(), std::move(div_config));
+  lone_div.set_binding({{"N", 16}, {"D", 2}});
+  EXPECT_EQ(divided.at("result").at("checksum").as_string(),
+            std::to_string(dmv::serve::result_checksum(*lone_div.metrics())));
+  EXPECT_EQ(server.stats().errors, 4);
 }
 
 TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {

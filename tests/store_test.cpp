@@ -96,18 +96,12 @@ TEST(StoreRoundTripTest, BytesIdenticalAcrossThreadsAndLanes) {
   std::vector<std::string> packed;
   sim::AccessTrace reference;
   for (const int threads : {1, 8}) {
-    for (const int lanes : {1, 8}) {
-      par::ThreadScope scope(threads);
-      sim::SimulationOptions options;
-      options.lane_width = lanes;
-      sim::AccessTrace trace = sim::simulate(sdfg, binding, options);
-      packed.push_back(store::pack_trace(trace));
-      if (reference.events.empty()) reference = std::move(trace);
-    }
+    par::ThreadScope scope(threads);
+    sim::AccessTrace trace = sim::simulate(sdfg, binding);
+    packed.push_back(store::pack_trace(trace));
+    if (reference.events.empty()) reference = std::move(trace);
   }
-  for (std::size_t i = 1; i < packed.size(); ++i) {
-    EXPECT_EQ(packed[i], packed[0]) << "combination " << i;
-  }
+  EXPECT_EQ(packed[1], packed[0]);
 
   // Decoding is just as deterministic: both thread counts reproduce the
   // source events exactly.

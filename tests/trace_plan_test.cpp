@@ -39,7 +39,8 @@ void expect_chunk_matches(const ir::Sdfg& sdfg,
                           const AccessTrace& reference,
                           const TraceChunk& chunk) {
   EventList events;
-  simulate_chunk(sdfg, binding, options, reference, chunk, events);
+  simulate_chunk(sdfg, binding, options, reference, chunk, events,
+                 /*absolute=*/false);
   ASSERT_EQ(static_cast<std::int64_t>(events.size()), chunk.event_count);
   for (std::int64_t i = 0; i < chunk.event_count; ++i) {
     const AccessEvent got = events[static_cast<std::size_t>(i)];
@@ -151,21 +152,16 @@ TEST(TracePlan, WcrReadsDoubleTheOutEdgeEvents) {
 
 TEST(TracePlan, InterpretedEngineChunks) {
   // Every chunk reproduces its slice of the reference tracer's
-  // interpreted walk, at both lane widths.
+  // interpreted walk.
   const ir::Sdfg sdfg = workloads::outer_product();
   const symbolic::SymbolMap binding = workloads::outer_product_fig3();
-  for (const int lanes : {1, 8}) {
-    SimulationOptions options;
-    options.lane_width = lanes;
-    expect_plan_matches(sdfg, binding, options, 4,
-                        reference_trace(sdfg, binding, options));
-  }
+  expect_plan_matches(sdfg, binding, {}, 4, reference_trace(sdfg, binding));
 }
 
 TEST(TracePlan, ReferenceTraceMatchesChunkOnCaseStudies) {
   // One simulate_chunk slice per plan — the middle chunk, which starts
   // mid-iteration-space — against the reference tracer, for the eight
-  // case-study stages at both lane widths.
+  // case-study stages.
   for (const auto& [label, sdfg, binding] : case_study_stages()) {
     SCOPED_TRACE(label);
     const AccessTrace reference = reference_trace(sdfg, binding);
@@ -175,12 +171,8 @@ TEST(TracePlan, ReferenceTraceMatchesChunkOnCaseStudies) {
     EXPECT_EQ(plan.total_events,
               static_cast<std::int64_t>(reference.events.size()));
     EXPECT_EQ(plan.total_executions, reference.executions);
-    const TraceChunk& chunk = plan.chunks[plan.chunks.size() / 2];
-    for (const int lanes : {1, 8}) {
-      SimulationOptions options;
-      options.lane_width = lanes;
-      expect_chunk_matches(sdfg, binding, options, reference, chunk);
-    }
+    expect_chunk_matches(sdfg, binding, {}, reference,
+                         plan.chunks[plan.chunks.size() / 2]);
   }
 }
 
