@@ -90,10 +90,18 @@ std::set<std::string> simulation_symbols(const Sdfg& sdfg) {
     for (const Expr& stride : descriptor.strides) visit(stride);
     visit(descriptor.start_offset);
   }
+  // A map parameter is bound by its map, so it is dropped per state
+  // unless the program also declares it. Any other free symbol is
+  // tunable, declared or not: the ir::validate rule, so a validated
+  // program gets exactly its reached declared symbols.
+  std::set<std::string> result = reached;
   for (const State& state : sdfg.states()) {
+    std::set<std::string> params;
+    reached.clear();
     for (const ir::Node& node : state.nodes()) {
       if (node.kind == ir::NodeKind::MapEntry) {
         visit_ranges(node.map.ranges);
+        params.insert(node.map.params.begin(), node.map.params.end());
       }
     }
     for (const Edge& edge : state.edges()) {
@@ -102,12 +110,11 @@ std::set<std::string> simulation_symbols(const Sdfg& sdfg) {
       visit_ranges(edge.memlet.other_subset.ranges);
       visit(edge.memlet.volume);
     }
-  }
-  // Map parameters and other locally-bound names show up as free symbols
-  // of the inner expressions; only DECLARED program symbols are tunable.
-  std::set<std::string> result;
-  for (const std::string& symbol : sdfg.symbols()) {
-    if (reached.contains(symbol)) result.insert(symbol);
+    for (const std::string& symbol : reached) {
+      if (sdfg.symbols().contains(symbol) || !params.contains(symbol)) {
+        result.insert(symbol);
+      }
+    }
   }
   return result;
 }

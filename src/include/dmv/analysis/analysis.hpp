@@ -63,9 +63,12 @@ std::vector<EdgeVolume> edge_volumes(const Sdfg& sdfg);
 /// Sum of all logical movement in bytes across the program.
 Expr total_movement_bytes(const Sdfg& sdfg);
 
-/// Free-symbol reachability of the simulation inputs: every declared
-/// program symbol that occurs in a container shape/stride/offset, a map
-/// bound, or a memlet subset/volume. A symbol NOT in this set cannot
+/// Free-symbol reachability of the simulation inputs: every symbol that
+/// occurs in a container shape/stride/offset, a map bound, or a memlet
+/// subset/volume and is not a map parameter of its state (a declared
+/// symbol counts even if a map reuses its name). Undeclared symbols are
+/// included, so a program that never went through ir::validate still
+/// keys on every name it reads. A symbol NOT in this set cannot
 /// change any simulated trace or derived metric under any binding, so
 /// the session layer keys its simulation caches on exactly this
 /// restriction of the binding (changing an unreached symbol is a cache

@@ -36,7 +36,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -152,54 +151,45 @@ struct AccessEvent {
   std::int32_t container = 0;   ///< Index into AccessTrace::layouts.
   std::int64_t flat = 0;        ///< Logical row-major element index.
   bool is_write = false;
-  std::int64_t timestep = 0;    ///< Global order of the event.
+  /// Global order of the event. Not stored: EventList's operator[] and
+  /// iterator fill it with the event's index, and push_back/set ignore
+  /// it.
+  std::int64_t timestep = 0;
   std::int64_t execution = 0;   ///< Tasklet-execution instance id.
-  ir::NodeId tasklet = ir::kNoNode;  ///< Originating tasklet (or copy).
 };
 
-/// Structure-of-arrays event storage. Metric passes touch only the
-/// columns they need (stack distance reads container+flat: 12 B/event
-/// instead of the 48 B padded AoS struct), and a column never pulls its
-/// neighbors into cache. The container interface mirrors
-/// std::vector<AccessEvent> — size/reserve/push_back/operator[]/range-for
-/// — so pre-SoA call sites compile unchanged; operator[] and the
-/// iterator gather an AccessEvent by value.
+/// Structure-of-arrays event storage: four resident columns, 21 B/event
+/// (container 4, flat 8, is_write 1, execution 8). Metric passes touch
+/// only the columns they need (stack distance reads container+flat), and
+/// a column never pulls its neighbors into cache. The container
+/// interface mirrors std::vector<AccessEvent> —
+/// size/reserve/push_back/operator[]/range-for — so call sites iterate
+/// it like a vector; operator[] and the iterator gather an AccessEvent
+/// by value, with `timestep` set to the index.
 class EventList {
  public:
-  std::size_t size() const { return restore_ ? spilled_size_ : flat_.size(); }
-  bool empty() const { return size() == 0; }
+  std::size_t size() const { return flat_.size(); }
+  bool empty() const { return flat_.empty(); }
 
   void reserve(std::size_t n) {
-    fault_in();
     container_.reserve(n);
     flat_.reserve(n);
     is_write_.reserve(n);
-    timestep_.reserve(n);
     execution_.reserve(n);
-    tasklet_.reserve(n);
   }
 
   void clear() {
-    // Dropping a spilled list never decodes it: the restore hook (and
-    // with it the backing file) is released along with the columns.
-    restore_ = nullptr;
-    spilled_size_ = 0;
     container_.clear();
     flat_.clear();
     is_write_.clear();
-    timestep_.clear();
     execution_.clear();
-    tasklet_.clear();
   }
 
   void push_back(const AccessEvent& event) {
-    fault_in();
     container_.push_back(event.container);
     flat_.push_back(event.flat);
     is_write_.push_back(event.is_write ? 1 : 0);
-    timestep_.push_back(event.timestep);
     execution_.push_back(event.execution);
-    tasklet_.push_back(event.tasklet);
   }
 
   /// Sizes every column to exactly n events (new slots zero-filled).
@@ -207,38 +197,30 @@ class EventList {
   /// then chunks fill disjoint slices via set() — no writer ever grows
   /// the columns, so concurrent slice stores never invalidate each other.
   void resize(std::size_t n) {
-    fault_in();
     container_.resize(n);
     flat_.resize(n);
     is_write_.resize(n);
-    timestep_.resize(n);
     execution_.resize(n);
-    tasklet_.resize(n);
   }
 
   /// Copies `count` events from `src` (starting at `src_begin`) into
-  /// this list at `dst_begin`, adding `timestep_delta` / `execution_delta`
-  /// to the copied stamps. Both lists must already be sized; the payload
-  /// columns (container, flat, is_write, tasklet) are copied verbatim.
-  /// This is the delta engine's clean-chunk splice: a chunk whose events
-  /// are unchanged but whose position in the stream shifted is rebased
-  /// with two column-wide adds instead of re-simulation.
+  /// this list at `dst_begin`, adding `execution_delta` to the copied
+  /// execution stamps. Both lists must already be sized; the payload
+  /// columns (container, flat, is_write) are copied verbatim. This is
+  /// the delta engine's clean-chunk splice: a chunk whose events are
+  /// unchanged but whose position in the stream shifted is rebased with
+  /// one column-wide add instead of re-simulation (timesteps follow the
+  /// position, so they need no rebasing).
   void assign_range(const EventList& src, std::size_t src_begin,
                     std::size_t dst_begin, std::size_t count,
-                    std::int64_t timestep_delta,
                     std::int64_t execution_delta) {
-    src.fault_in();
-    fault_in();
     std::copy_n(src.container_.begin() + src_begin, count,
                 container_.begin() + dst_begin);
     std::copy_n(src.flat_.begin() + src_begin, count,
                 flat_.begin() + dst_begin);
     std::copy_n(src.is_write_.begin() + src_begin, count,
                 is_write_.begin() + dst_begin);
-    std::copy_n(src.tasklet_.begin() + src_begin, count,
-                tasklet_.begin() + dst_begin);
     for (std::size_t i = 0; i < count; ++i) {
-      timestep_[dst_begin + i] = src.timestep_[src_begin + i] + timestep_delta;
       execution_[dst_begin + i] =
           src.execution_[src_begin + i] + execution_delta;
     }
@@ -246,28 +228,21 @@ class EventList {
 
   /// Overwrites event i (must be < size()). Writing DISTINCT indices
   /// from different threads is safe: each store touches only element i
-  /// of each pre-sized column. (Pre-sizing via resize() also faulted a
-  /// spilled list back in, so parallel writers only ever see the no-op
-  /// branch of fault_in().)
+  /// of each pre-sized column.
   void set(std::size_t i, const AccessEvent& event) {
-    fault_in();
     container_[i] = event.container;
     flat_[i] = event.flat;
     is_write_[i] = event.is_write ? 1 : 0;
-    timestep_[i] = event.timestep;
     execution_[i] = event.execution;
-    tasklet_[i] = event.tasklet;
   }
 
   AccessEvent operator[](std::size_t i) const {
-    fault_in();
     AccessEvent event;
     event.container = container_[i];
     event.flat = flat_[i];
     event.is_write = is_write_[i] != 0;
-    event.timestep = timestep_[i];
+    event.timestep = static_cast<std::int64_t>(i);
     event.execution = execution_[i];
-    event.tasklet = tasklet_[i];
     return event;
   }
 
@@ -309,98 +284,25 @@ class EventList {
   const_iterator begin() const { return {this, 0}; }
   const_iterator end() const { return {this, size()}; }
 
-  /// Column views for the hot metric passes. Accessing a column faults
-  /// a spilled list back in first.
-  std::span<const std::int32_t> container_column() const {
-    fault_in();
-    return container_;
-  }
-  std::span<const std::int64_t> flat_column() const {
-    fault_in();
-    return flat_;
-  }
-  std::span<const std::uint8_t> write_column() const {
-    fault_in();
-    return is_write_;
-  }
-  std::span<const std::int64_t> timestep_column() const {
-    fault_in();
-    return timestep_;
-  }
-  std::span<const std::int64_t> execution_column() const {
-    fault_in();
-    return execution_;
-  }
-  std::span<const ir::NodeId> tasklet_column() const {
-    fault_in();
-    return tasklet_;
-  }
+  /// Column views for the hot metric passes.
+  std::span<const std::int32_t> container_column() const { return container_; }
+  std::span<const std::int64_t> flat_column() const { return flat_; }
+  std::span<const std::uint8_t> write_column() const { return is_write_; }
+  std::span<const std::int64_t> execution_column() const { return execution_; }
 
-  /// Bytes currently RESERVED by the columns — what the spill budget is
-  /// checked against. A spilled list reports zero: nothing is resident.
+  /// Bytes currently RESERVED by the columns.
   std::size_t capacity_bytes() const {
-    if (restore_) return 0;
     return container_.capacity() * sizeof(std::int32_t) +
            flat_.capacity() * sizeof(std::int64_t) +
            is_write_.capacity() * sizeof(std::uint8_t) +
-           timestep_.capacity() * sizeof(std::int64_t) +
-           execution_.capacity() * sizeof(std::int64_t) +
-           tasklet_.capacity() * sizeof(ir::NodeId);
+           execution_.capacity() * sizeof(std::int64_t);
   }
-
-  /// Out-of-core backing (installed by store::spill_event_list):
-  /// releases the columns NOW and re-decodes them via `restore` on the
-  /// next access. While spilled, size()/empty() answer from
-  /// `logical_size` without faulting, capacity_bytes() reports the
-  /// resident bytes (zero), and clear() discards the backing without
-  /// decoding. Every other accessor faults the columns back in first.
-  /// Copies share the backing (each copy restores independently);
-  /// moving transfers it.
-  void spill(std::size_t logical_size,
-             std::function<void(EventList&)> restore) {
-    container_ = {};
-    flat_ = {};
-    is_write_ = {};
-    timestep_ = {};
-    execution_ = {};
-    tasklet_ = {};
-    spilled_size_ = logical_size;
-    restore_ = std::move(restore);
-  }
-
-  /// True while the columns live in the spill backing, not in RAM.
-  bool spilled() const { return static_cast<bool>(restore_); }
-
-  /// Faults a spilled list back in (no-op when resident). Call this
-  /// EXACTLY ONCE, on the calling thread, before any fan-out that hands
-  /// column spans (or set()/assign_range slices) to parallel workers:
-  /// fault-in itself is not thread-safe, and every accessor assumes a
-  /// resident list inside parallel regions. The metric pipeline and the
-  /// delta patch phase both follow this contract before dispatching
-  /// their chunk/segment workers.
-  void ensure_resident() const { fault_in(); }
 
  private:
-  /// Swaps the restore hook out before invoking it so the hook can
-  /// rebuild `this` through the public interface (resize/set) without
-  /// re-entering fault_in. Logically const: faulting in changes where
-  /// the events live, never what they are.
-  void fault_in() const {
-    if (!restore_) return;
-    std::function<void(EventList&)> restore = std::move(restore_);
-    restore_ = nullptr;
-    spilled_size_ = 0;
-    restore(const_cast<EventList&>(*this));
-  }
-
   std::vector<std::int32_t> container_;
   std::vector<std::int64_t> flat_;
   std::vector<std::uint8_t> is_write_;
-  std::vector<std::int64_t> timestep_;
   std::vector<std::int64_t> execution_;
-  std::vector<ir::NodeId> tasklet_;
-  mutable std::function<void(EventList&)> restore_;
-  mutable std::size_t spilled_size_ = 0;
 };
 
 /// Full simulated access pattern of a parameterized program.

@@ -13,12 +13,16 @@
 // Simulated traces export to the same format for archival and diffing.
 //
 // Format (line oriented):
-//   dmvtrace 1
+//   dmvtrace 2
 //   container <name> <element_size> <base_address> <shape...> ; <strides...>
 //   ...one line per container...
 //   events
-//   <timestep> <container_index> <flat_index> <r|w> <execution> <tasklet>
+//   <container_index> <flat_index> <r|w> <execution>
 //   ...
+// An event's timestep is its line's position in the events section.
+// read_trace also accepts version 1 files, whose event lines are
+// `<timestep> <container_index> <flat_index> <r|w> <execution> <tasklet>`;
+// the timestep and tasklet fields must be integers and are ignored.
 
 #include <iosfwd>
 #include <string>

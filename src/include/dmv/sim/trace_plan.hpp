@@ -9,8 +9,8 @@
 // contiguous chunks — one or more per top-level map (sliced along the
 // outermost dimension), one per top-level tasklet or copy — each with a
 // precomputed (event_offset, event_count, execution_offset,
-// execution_count). Because the simulator stamps `timestep` with the
-// global event index, event_offset doubles as the chunk's timestep base.
+// execution_count). An event's timestep is its global index, so
+// event_offset doubles as the chunk's timestep base.
 //
 // With the plan in hand, generation parallelizes without stitching or
 // locks: the EventList is sized to total_events once, and each chunk's
@@ -79,13 +79,14 @@ void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
                      TracePlan& plan);
 
 /// Generates exactly `chunk` of a plan for this (sdfg, symbols, options)
-/// triple, with absolute timestep/execution stamps. `header` supplies the
+/// triple, with absolute execution stamps. `header` supplies the
 /// placed container layouts (any trace simulate() returned for the same
 /// binding and options, or place_containers()' output). When `absolute`,
 /// `out` must be pre-sized to the plan's total and the events are written
 /// AT their [event_offset, event_offset + event_count) slice indices —
 /// the parallel writer's and the delta engine's dirty-chunk path;
-/// otherwise they are appended (the tests' chunk-by-chunk validation).
+/// otherwise they are appended (the tests' chunk-by-chunk validation),
+/// so their timesteps count from `out`'s size, not from event_offset.
 /// Throws std::logic_error if the chunk's generated event or execution
 /// count disagrees with the plan.
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
@@ -94,7 +95,8 @@ void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     EventList& out, bool absolute);
 
 /// Dependency symbol set of each chunk, index-aligned with plan.chunks:
-/// the declared program symbols that can change the chunk's event
+/// the symbols (declared, or free and not a map parameter of the state)
+/// that can change the chunk's event
 /// PAYLOAD (container / flat / is_write columns) while the plan shape
 /// stays fixed. Per chunk this is a conservative superset of the free
 /// symbols of

@@ -1,7 +1,7 @@
 #pragma once
 
 // Out-of-core columnar trace store: a compressed, memory-mappable,
-// versioned on-disk format for `EventList` columns ("DMVS" v1).
+// versioned on-disk format for `EventList` columns ("DMVS" v2).
 //
 // Layout (all integers little-endian):
 //
@@ -19,16 +19,19 @@
 // values. Random re-reads seek the directory and decode only the
 // chunks they touch; nothing before a payload needs to be scanned.
 //
-// Per-column chunk encoding (six sections per chunk, fixed order:
-// container, flat, is_write, timestep, execution, tasklet):
-//   kConst  — arithmetic sequence, stored as (base, delta). The
-//             timestep column is the global event index, so it packs
-//             to 16 bytes per chunk.
+// Per-column chunk encoding (four sections per chunk, fixed order:
+// container, flat, is_write, execution — the four resident EventList
+// columns; an event's timestep is its index and is not stored):
+//   kConst  — arithmetic sequence, stored as (base, delta).
 //   kPacked — first value + zigzag-encoded wrapping deltas, bit-packed
 //             at the minimal width for the chunk.
-//   kDict   — sorted dictionary + bit-packed indices (container and
-//             tasklet ids draw from tiny alphabets).
+//   kDict   — sorted dictionary + bit-packed indices (container ids
+//             draw from a tiny alphabet).
 //   kBitset — one bit per event (is_write).
+//
+// Version 1 files (six sections: the two above plus a timestep and a
+// tasklet column) are refused by the version check. Trace files are
+// not cache keys, so nothing derived from them is invalidated.
 //
 // Determinism contract: chunks are encoded in parallel over `dmv::par`
 // into private buffers and assembled serially, so the packed bytes are
@@ -49,7 +52,7 @@
 
 namespace dmv::store {
 
-inline constexpr std::uint32_t kTraceFormatVersion = 1;
+inline constexpr std::uint32_t kTraceFormatVersion = 2;
 
 struct StoreOptions {
   /// Target events per chunk when no trace plan is supplied (and the
@@ -81,12 +84,6 @@ struct ChunkInfo {
 std::string pack_trace(const sim::AccessTrace& trace,
                        const StoreOptions& options = {},
                        const sim::TracePlan* plan = nullptr);
-
-/// Packs just an event list (no container table) — the spill backing
-/// format. The file round-trips through the same reader with an empty
-/// container table.
-std::string pack_events(const sim::EventList& events,
-                        const StoreOptions& options = {});
 
 /// pack_trace + atomic write (temp file + rename) to `path`.
 void write_trace_file(const sim::AccessTrace& trace, const std::string& path,
@@ -144,15 +141,5 @@ class TraceStoreReader {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Spills `events` to a store file under `dir` (created if missing) and
-/// installs a restore callback: the columns are released now and
-/// decoded back on the next column access (`EventList::fault_in` via
-/// any accessor, or `ensure_resident()`). The backing file is
-/// reference-counted — it is deleted once no spilled list (or copy)
-/// refers to it. Returns the backing file path. The round trip is
-/// exact, so spilling never changes downstream results.
-std::string spill_event_list(sim::EventList& events, const std::string& dir,
-                             const StoreOptions& options = {});
 
 }  // namespace dmv::store

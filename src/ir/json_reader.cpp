@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -18,6 +20,17 @@ namespace {
 // at the from_json boundary so callers keep a single exception type.
 
 using json::Value;
+
+/// An int-sized field (element size, node id): a non-integral or
+/// out-of-range number is a schema error, never a narrowing cast.
+int int_field(const Value& object, const char* key) {
+  const std::int64_t value = object.at(key).as_int();
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw JsonError(std::string("'") + key + "' out of range");
+  }
+  return static_cast<int>(value);
+}
 
 symbolic::Expr parse_expr(const Value& value) {
   return symbolic::parse(value.as_string());
@@ -49,8 +62,7 @@ void read_containers(const Value& document, Sdfg& sdfg) {
     for (const Value& stride : entry.at("strides").as_array()) {
       descriptor.strides.push_back(parse_expr(stride));
     }
-    descriptor.element_size =
-        static_cast<int>(entry.at("element_size").as_number());
+    descriptor.element_size = int_field(entry, "element_size");
     descriptor.transient = entry.at("transient").as_bool();
     sdfg.add_array(std::move(descriptor));
   }
@@ -60,7 +72,7 @@ void read_state(const Value& entry, Sdfg& sdfg) {
   State& state = sdfg.add_state(entry.at("name").as_string());
   for (const Value& node_value : entry.at("nodes").as_array()) {
     Node node;
-    node.id = static_cast<NodeId>(node_value.at("id").as_number());
+    node.id = int_field(node_value, "id");
     node.kind = node_kind_from(node_value.at("kind").as_string());
     node.label = node_value.at("label").as_string();
     if (node_value.has("data")) {
@@ -81,11 +93,10 @@ void read_state(const Value& entry, Sdfg& sdfg) {
       }
     }
     if (node_value.has("paired")) {
-      node.paired = static_cast<NodeId>(node_value.at("paired").as_number());
+      node.paired = int_field(node_value, "paired");
     }
     if (node_value.has("scope")) {
-      node.scope_parent =
-          static_cast<NodeId>(node_value.at("scope").as_number());
+      node.scope_parent = int_field(node_value, "scope");
     }
     state.add_raw(std::move(node));
   }
@@ -104,8 +115,7 @@ void read_state(const Value& entry, Sdfg& sdfg) {
       }
     }
     state.add_edge(
-        static_cast<NodeId>(edge_value.at("src").as_number()),
-        static_cast<NodeId>(edge_value.at("dst").as_number()),
+        int_field(edge_value, "src"), int_field(edge_value, "dst"),
         std::move(memlet),
         edge_value.has("src_conn") ? edge_value.at("src_conn").as_string()
                                    : "",

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -20,6 +21,9 @@ namespace dmv::serve {
 namespace {
 
 using json::Value;
+
+/// Protocol limit on `subscribe`'s prefetch_depth (docs/serving.md).
+constexpr std::int64_t kMaxPrefetchDepth = 8;
 
 /// Dispatch-level failure with a protocol error code; everything a
 /// handler throws is mapped onto one of these before it reaches the
@@ -47,6 +51,20 @@ const Value& param(const Value& params, const char* name) {
                        std::string("missing param '") + name + "'");
   }
   return params.at(name);
+}
+
+/// Integer param `name`, range-checked before any narrowing: a value
+/// outside [lo, hi] is bad_request.
+std::int64_t int_param_in(const Value& params, const char* name,
+                          std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = params.at(name).as_int();
+  if (value < lo || value > hi) {
+    throw RequestError("bad_request", std::string("'") + name +
+                                          "' must be in [" +
+                                          std::to_string(lo) + ", " +
+                                          std::to_string(hi) + "]");
+  }
+  return value;
 }
 
 symbolic::SymbolMap parse_binding(const Value& value) {
@@ -225,15 +243,20 @@ struct Server::Impl {
     session::SessionConfig cfg = client->session->config();
     cfg.shared_cache = shared;
     if (params.has("prefetch")) cfg.prefetch = params.at("prefetch").as_bool();
+    // Each unit of prefetch depth is one more pipeline arena and one
+    // more speculative run per step, so the protocol caps it.
     if (params.has("prefetch_depth")) {
-      cfg.prefetch_depth = static_cast<int>(params.at("prefetch_depth").as_int());
+      cfg.prefetch_depth = static_cast<int>(
+          int_param_in(params, "prefetch_depth", 0, kMaxPrefetchDepth));
     }
     if (params.has("cache_budget_bytes")) {
-      cfg.cache_budget_bytes =
-          static_cast<std::size_t>(params.at("cache_budget_bytes").as_int());
+      cfg.cache_budget_bytes = static_cast<std::size_t>(int_param_in(
+          params, "cache_budget_bytes", 0,
+          std::numeric_limits<std::int64_t>::max()));
     }
     if (params.has("line_size")) {
-      cfg.pipeline.line_size = static_cast<int>(params.at("line_size").as_int());
+      cfg.pipeline.line_size = static_cast<int>(int_param_in(
+          params, "line_size", 1, std::numeric_limits<int>::max()));
     }
     if (params.has("counts")) cfg.pipeline.counts = params.at("counts").as_bool();
     if (params.has("miss_threshold_lines")) {

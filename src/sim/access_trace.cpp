@@ -72,11 +72,11 @@ class Simulator {
     trace.executions = execution_;
   }
 
-  /// Generates exactly one plan chunk, starting mid-iteration-space with
-  /// absolute timestep/execution stamps from the plan. `header` supplies
-  /// the placed layouts; events go to `out` — written at their absolute
-  /// slice indices when `absolute` (the pre-sized disjoint-slice path),
-  /// appended otherwise (test validation).
+  /// Generates exactly one plan chunk, starting mid-iteration-space at
+  /// the plan's absolute event position and execution stamp. `header`
+  /// supplies the placed layouts; events go to `out` — written at their
+  /// absolute slice indices when `absolute` (the pre-sized disjoint-slice
+  /// path), appended otherwise (test validation).
   void run_chunk(const AccessTrace& header, const TraceChunk& chunk,
                  EventList& out, bool absolute) {
     layouts_ = &header.layouts;
@@ -87,7 +87,7 @@ class Simulator {
     const State& state =
         sdfg_.states().at(static_cast<std::size_t>(chunk.state));
     schedule_ = ir::StateSchedule(state);
-    timestep_ = chunk.event_offset;
+    position_ = chunk.event_offset;
     execution_ = chunk.execution_offset;
     out_ = &out;
     out_absolute_ = absolute;
@@ -107,7 +107,7 @@ class Simulator {
       case NodeKind::MapExit:
         break;
     }
-    if (timestep_ != chunk.event_offset + chunk.event_count ||
+    if (position_ != chunk.event_offset + chunk.event_count ||
         execution_ != chunk.execution_offset + chunk.execution_count) {
       throw std::logic_error(
           "simulate: trace plan chunk count mismatch (planner bug)");
@@ -173,7 +173,6 @@ class Simulator {
     std::vector<BatchedRangeRef> ranges;
   };
   struct BatchedTasklet {
-    NodeId id = ir::kNoNode;
     std::vector<BatchedRun> runs;
   };
   struct BatchedScope {
@@ -244,7 +243,6 @@ class Simulator {
         continue;
       }
       BatchedTasklet tasklet;
-      tasklet.id = id;
       for (const Edge* edge : schedule_.in_adjacency[id]) {
         if (edge->memlet.is_empty()) continue;
         add_run(tasklet, edge, /*is_write=*/false);
@@ -529,11 +527,11 @@ class Simulator {
           cursor[d] = bounds[d][0];
         }
         if (bounds.empty()) {
-          emit_run_element(run, cursor, tasklet.id);
+          emit_run_element(run, cursor);
           continue;
         }
         for (;;) {
-          emit_run_element(run, cursor, tasklet.id);
+          emit_run_element(run, cursor);
           int d = static_cast<int>(bounds.size()) - 1;
           for (; d >= 0; --d) {
             cursor[d] += bounds[d][2];
@@ -554,12 +552,11 @@ class Simulator {
                : invariant_vals_[static_cast<std::size_t>(ref.index)];
   }
 
-  void emit_run_element(const BatchedRun& run, const layout::Index& element,
-                        NodeId tasklet) {
+  void emit_run_element(const BatchedRun& run, const layout::Index& element) {
     if (run.wcr_read) {
-      emit(run.container, element, /*is_write=*/false, tasklet);
+      emit(run.container, element, /*is_write=*/false);
     }
-    emit(run.container, element, run.is_write, tasklet);
+    emit(run.container, element, run.is_write);
   }
 
   // Evaluates a compiled subset's bounds into scratch and emits every
@@ -591,27 +588,26 @@ class Simulator {
     }
   }
 
-  void emit_subset(const State& state, const Edge* edge, bool is_write,
-                   NodeId tasklet) {
+  void emit_subset(const State& state, const Edge* edge, bool is_write) {
     const CompiledEdge& compiled =
         compiled_edges_[edge_index(state, edge)];
     const bool wcr_read = is_write && edge->memlet.wcr != ir::Wcr::None &&
                           options_.wcr_reads;
     const int container = compiled.subset.container;
     enumerate_subset(compiled.subset, [&](const layout::Index& element) {
-      if (wcr_read) emit(container, element, /*is_write=*/false, tasklet);
-      emit(container, element, is_write, tasklet);
+      if (wcr_read) emit(container, element, /*is_write=*/false);
+      emit(container, element, is_write);
     });
   }
 
   void execute_tasklet(const State& state, const Node& node) {
     for (const Edge* edge : schedule_.in_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      emit_subset(state, edge, /*is_write=*/false, node.id);
+      emit_subset(state, edge, /*is_write=*/false);
     }
     for (const Edge* edge : schedule_.out_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      emit_subset(state, edge, /*is_write=*/true, node.id);
+      emit_subset(state, edge, /*is_write=*/true);
     }
     ++execution_;
   }
@@ -644,9 +640,8 @@ class Simulator {
                                edge->memlet.data + "'");
       }
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        emit(src_subset.container, sources[i], /*is_write=*/false,
-             ir::kNoNode);
-        emit(dst_container, destinations[i], /*is_write=*/true, ir::kNoNode);
+        emit(src_subset.container, sources[i], /*is_write=*/false);
+        emit(dst_container, destinations[i], /*is_write=*/true);
         ++execution_;
       }
     }
@@ -654,8 +649,7 @@ class Simulator {
 
   // -- Shared infrastructure -----------------------------------------
 
-  void emit(int container, const layout::Index& indices, bool is_write,
-            NodeId tasklet) {
+  void emit(int container, const layout::Index& indices, bool is_write) {
     const ConcreteLayout& layout = (*layouts_)[container];
     if (!layout.in_bounds(indices)) {
       std::string text;
@@ -667,19 +661,18 @@ class Simulator {
     event.container = container;
     event.flat = layout.flat_index(indices);
     event.is_write = is_write;
-    event.timestep = timestep_++;
     event.execution = execution_;
-    event.tasklet = tasklet;
+    const std::int64_t position = position_++;
     if (out_) {
       // Chunk mode: the plan fixed this chunk's event range up front, so
       // emitting past it means the planner under-counted — fail loudly
       // instead of corrupting a neighboring slice.
-      if (event.timestep >= chunk_limit_) {
+      if (position >= chunk_limit_) {
         throw std::logic_error(
             "simulate: trace plan chunk overflow (planner bug)");
       }
       if (out_absolute_) {
-        out_->set(static_cast<std::size_t>(event.timestep), event);
+        out_->set(static_cast<std::size_t>(position), event);
       } else {
         out_->push_back(event);
       }
@@ -716,7 +709,9 @@ class Simulator {
   std::vector<std::int64_t> lane_param_;      ///< W point values, scratch.
   std::vector<std::array<std::int64_t, 3>> bounds_scratch_;
   layout::Index cursor_scratch_;
-  std::int64_t timestep_ = 0;
+  /// Global index of the next event: bounds a chunk's slice and places
+  /// its absolute set() stores.
+  std::int64_t position_ = 0;
   std::int64_t execution_ = 0;
 };
 

@@ -1,10 +1,9 @@
-#include <list>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "dmv/par/par.hpp"
 #include "dmv/sim/sim.hpp"
+#include "metric_detail.hpp"
 
 namespace dmv::sim {
 
@@ -91,11 +90,6 @@ MissReport classify_misses(const AccessTrace& trace,
 
 namespace {
 
-struct CacheSet {
-  std::list<std::int64_t> lru;  ///< Front = most recently used.
-  std::unordered_map<std::int64_t, std::list<std::int64_t>::iterator> where;
-};
-
 // One set's LRU simulation over its own (time-ordered) event slice.
 // A line maps to exactly one set, so cold/capacity classification and
 // residency are fully independent per set — this is what makes the
@@ -104,15 +98,13 @@ void simulate_set(std::span<const std::int32_t> containers,
                   const std::vector<std::size_t>& event_indices,
                   std::span<const std::int64_t> lines, std::int64_t ways,
                   std::vector<MissStats>& per_container) {
-  CacheSet set;
+  detail::CacheSet set;
   std::unordered_set<std::int64_t> ever_seen;
   for (std::size_t index : event_indices) {
     const std::int64_t line = lines[index];
     MissStats& stats = per_container[containers[index]];
-    auto it = set.where.find(line);
-    if (it != set.where.end()) {
+    if (set.access(line, ways)) {
       ++stats.hits;
-      set.lru.splice(set.lru.begin(), set.lru, it->second);
       continue;
     }
     // Miss: cold if this line was never resident before.
@@ -121,47 +113,13 @@ void simulate_set(std::span<const std::int32_t> containers,
     } else {
       ++stats.capacity;  // Includes conflict misses when num_sets > 1.
     }
-    set.lru.push_front(line);
-    set.where[line] = set.lru.begin();
-    if (static_cast<std::int64_t>(set.lru.size()) > ways) {
-      set.where.erase(set.lru.back());
-      set.lru.pop_back();
-    }
   }
-}
-
-// Resolved cache geometry shared by both entry points.
-struct Geometry {
-  std::int64_t ways = 0;
-  std::int64_t num_sets = 1;
-};
-
-Geometry resolve_geometry(const CacheConfig& config) {
-  if (config.line_size <= 0 || config.total_size <= 0) {
-    throw std::invalid_argument("simulate_cache: bad cache geometry");
-  }
-  const std::int64_t total_lines = config.total_size / config.line_size;
-  if (total_lines <= 0) {
-    throw std::invalid_argument("simulate_cache: cache smaller than a line");
-  }
-  Geometry geometry;
-  geometry.ways = config.ways;
-  if (geometry.ways == 0) {
-    geometry.ways = total_lines;  // Fully associative.
-  } else {
-    geometry.num_sets = total_lines / geometry.ways;
-    if (geometry.num_sets <= 0) {
-      throw std::invalid_argument(
-          "simulate_cache: associativity exceeds cache size");
-    }
-  }
-  return geometry;
 }
 
 CacheSimResult simulate_cache_lines(const AccessTrace& trace,
                                     const CacheConfig& config,
                                     std::span<const std::int64_t> lines) {
-  const Geometry geometry = resolve_geometry(config);
+  const detail::CacheGeometry geometry = detail::cache_geometry(config);
   const std::int64_t num_sets = geometry.num_sets;
 
   CacheSimResult result;
@@ -210,7 +168,7 @@ CacheSimResult simulate_cache_lines(const AccessTrace& trace,
 
 CacheSimResult simulate_cache(const AccessTrace& trace,
                               const CacheConfig& config) {
-  resolve_geometry(config);  // Geometry errors before any line work.
+  detail::cache_geometry(config);  // Geometry errors before any line work.
   // Line resolution happens once in the shared LineTable materializer
   // (parallel over events), then the per-set simulation consumes it.
   const LineTable table = build_line_table(trace, config.line_size);

@@ -1,8 +1,7 @@
-#include <list>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "dmv/sim/hierarchy.hpp"
+#include "metric_detail.hpp"
 
 namespace dmv::sim {
 
@@ -29,30 +28,14 @@ class Cache {
   /// Returns true on hit; on miss the line is installed (with LRU
   /// eviction).
   bool access(std::int64_t line) {
-    Set& set = sets_[static_cast<std::size_t>(
-        line % static_cast<std::int64_t>(sets_.size()))];
-    auto it = set.where.find(line);
-    if (it != set.where.end()) {
-      set.lru.splice(set.lru.begin(), set.lru, it->second);
-      return true;
-    }
-    set.lru.push_front(line);
-    set.where[line] = set.lru.begin();
-    if (static_cast<std::int64_t>(set.lru.size()) > ways_) {
-      set.where.erase(set.lru.back());
-      set.lru.pop_back();
-    }
-    return false;
+    return sets_[static_cast<std::size_t>(
+                     line % static_cast<std::int64_t>(sets_.size()))]
+        .access(line, ways_);
   }
 
  private:
-  struct Set {
-    std::list<std::int64_t> lru;
-    std::unordered_map<std::int64_t, std::list<std::int64_t>::iterator>
-        where;
-  };
   std::int64_t ways_ = 0;
-  std::vector<Set> sets_;
+  std::vector<detail::CacheSet> sets_;
 };
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <list>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,8 +49,37 @@ class Fenwick {
   std::vector<std::int64_t> tree_;  ///< 1-based; size n + 1.
 };
 
-// Set-associative geometry of the metric engine's cache consumer, with
-// the same validation errors as simulate_cache.
+// One LRU cache set over line ids: a recency list (front = most recently
+// used) plus an index into it. The oracle-side cache passes,
+// simulate_cache and simulate_hierarchy, share it; the metric engine's
+// partitioned LRU lives in metric_merge.
+class CacheSet {
+ public:
+  /// True on a hit, which makes the line most recent. On a miss the line
+  /// is installed as most recent and, past `ways` resident lines, the
+  /// least recent one is evicted.
+  bool access(std::int64_t line, std::int64_t ways) {
+    auto it = where_.find(line);
+    if (it != where_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return true;
+    }
+    lru_.push_front(line);
+    where_[line] = lru_.begin();
+    if (static_cast<std::int64_t>(lru_.size()) > ways) {
+      where_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    return false;
+  }
+
+ private:
+  std::list<std::int64_t> lru_;
+  std::unordered_map<std::int64_t, std::list<std::int64_t>::iterator> where_;
+};
+
+// Set-associative geometry of a CacheConfig, validated: shared by
+// simulate_cache and the metric engine's cache consumer.
 struct CacheGeometry {
   std::int64_t ways = 0;
   std::int64_t num_sets = 1;

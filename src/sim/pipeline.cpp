@@ -12,7 +12,6 @@
 
 #include "dmv/par/par.hpp"
 #include "dmv/sim/trace_plan.hpp"
-#include "dmv/store/trace_store.hpp"
 #include "metric_detail.hpp"
 #include "metric_merge.hpp"
 
@@ -151,10 +150,6 @@ PipelineResult MetricPipeline::run(const AccessTrace& trace) {
   // resumes from, so any interleaved public run drops the checkpoint.
   arena_->ckpt_valid = false;
   arena_->live_valid = false;
-  // Fault a spilled trace back in on this thread, exactly once, before
-  // the engine hands column spans to parallel workers (EventList
-  // fault-in is not thread-safe).
-  trace.events.ensure_resident();
   timings_ = {};
   return fresh_pass(config_, trace, /*widen=*/true, /*resumable=*/false,
                     arena_->live, timings_);
@@ -164,19 +159,13 @@ PipelineResult MetricPipeline::run(const Sdfg& sdfg, const SymbolMap& symbols,
                                    const SimulationOptions& options) {
   arena_->ckpt_valid = false;
   arena_->live_valid = false;
-  // A spilled previous trace is simply dropped here — simulate_into
-  // clears the buffer, and clear() releases the backing without the
-  // cost of decoding it.
   const auto start = Clock::now();
   simulate_into(sdfg, symbols, options, arena_->trace);
   timings_ = {};
   timings_.simulate_ms = ms_since(start);
   // Simulator output never leaves its layouts: no bound widening.
-  PipelineResult result =
-      fresh_pass(config_, arena_->trace, /*widen=*/false,
-                 /*resumable=*/false, arena_->live, timings_);
-  maybe_spill();
-  return result;
+  return fresh_pass(config_, arena_->trace, /*widen=*/false,
+                    /*resumable=*/false, arena_->live, timings_);
 }
 
 namespace {
@@ -389,7 +378,6 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
                   static_cast<std::size_t>(matches[idx].old_event_offset),
                   static_cast<std::size_t>(nc.event_offset),
                   static_cast<std::size_t>(nc.event_count),
-                  nc.event_offset - matches[idx].old_event_offset,
                   nc.execution_offset - matches[idx].old_execution_offset);
             } else {
               simulate_chunk(sdfg, symbols, options, arena.scratch_header, nc,
@@ -464,10 +452,6 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
       bool warm = false;
       PipelineResult result;
       try {
-        // The splice below reads the checkpoint columns from parallel
-        // workers; a spilled checkpoint must fault in on this thread
-        // first.
-        arena.trace.events.ensure_resident();
         warm = delta_step(config_, arena, sdfg, symbols, options, outcome,
                           result, timings_);
       } catch (...) {
@@ -478,7 +462,6 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
         outcome.reason = "delta step failed";
       }
       if (warm) {
-        maybe_spill();
         if (outcome_out) *outcome_out = outcome;
         return result;
       }
@@ -509,23 +492,8 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
     arena.ckpt_options = options_fp;
     arena.ckpt_binding = symbols;
   }
-  maybe_spill();
   if (outcome_out) *outcome_out = outcome;
   return result;
-}
-
-void MetricPipeline::set_spill(std::size_t budget_bytes, std::string dir) {
-  spill_budget_bytes_ = budget_bytes;
-  spill_dir_ = std::move(dir);
-}
-
-void MetricPipeline::maybe_spill() {
-  if (spill_budget_bytes_ == 0) return;
-  EventList& events = arena_->trace.events;
-  if (events.spilled() || events.capacity_bytes() <= spill_budget_bytes_) {
-    return;
-  }
-  store::spill_event_list(events, spill_dir_);
 }
 
 }  // namespace dmv::sim

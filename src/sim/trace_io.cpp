@@ -44,7 +44,7 @@ std::string unescape_name(const std::string& token, int line_number);
 }  // namespace
 
 void write_trace(const AccessTrace& trace, std::ostream& out) {
-  out << "dmvtrace 1\n";
+  out << "dmvtrace 2\n";
   for (std::size_t c = 0; c < trace.containers.size(); ++c) {
     const ConcreteLayout& layout = trace.layouts[c];
     out << "container " << escape_name(trace.containers[c]) << ' '
@@ -56,9 +56,8 @@ void write_trace(const AccessTrace& trace, std::ostream& out) {
   }
   out << "events\n";
   for (const AccessEvent& event : trace.events) {
-    out << event.timestep << ' ' << event.container << ' ' << event.flat
-        << ' ' << (event.is_write ? 'w' : 'r') << ' ' << event.execution
-        << ' ' << event.tasklet << '\n';
+    out << event.container << ' ' << event.flat << ' '
+        << (event.is_write ? 'w' : 'r') << ' ' << event.execution << '\n';
   }
   if (!out) throw std::runtime_error("write_trace: stream failure");
 }
@@ -115,7 +114,12 @@ AccessTrace read_trace(std::istream& in) {
 
   if (!std::getline(in, line)) fail(1, "empty input");
   ++line_number;
-  if (line != "dmvtrace 1") fail(line_number, "bad magic/version");
+  // Version 1 event lines carry two more fields, a leading timestep and
+  // a trailing tasklet id; both are parsed (so malformed lines still
+  // fail) and then dropped: the timestep is the event's index and the
+  // tasklet is not stored.
+  const bool v1 = line == "dmvtrace 1";
+  if (!v1 && line != "dmvtrace 2") fail(line_number, "bad magic/version");
 
   bool in_events = false;
   std::int64_t max_execution = -1;
@@ -167,10 +171,12 @@ AccessTrace read_trace(std::istream& in) {
     AccessEvent event;
     char mode = '?';
     std::int64_t container = 0;
-    std::int64_t tasklet = 0;
-    fields >> event.timestep >> container >> event.flat >> mode >>
-        event.execution >> tasklet;
-    if (!fields || (mode != 'r' && mode != 'w')) {
+    std::int64_t ignored = 0;
+    if (v1) fields >> ignored;
+    fields >> container >> event.flat >> mode >> event.execution;
+    if (v1) fields >> ignored;
+    std::string extra;
+    if (!fields || (mode != 'r' && mode != 'w') || fields >> extra) {
       fail(line_number, "malformed event");
     }
     if (container < 0 ||
@@ -183,7 +189,6 @@ AccessTrace read_trace(std::istream& in) {
     }
     event.container = static_cast<std::int32_t>(container);
     event.is_write = mode == 'w';
-    event.tasklet = static_cast<ir::NodeId>(tasklet);
     max_execution = std::max(max_execution, event.execution);
     trace.events.push_back(event);
   }

@@ -539,11 +539,20 @@ std::set<std::string> scope_dependencies(const Sdfg& sdfg, const State& state,
     for (const symbolic::Expr& stride : descriptor.strides) visit(stride);
     visit(descriptor.start_offset);
   }
-  // Map parameters and other locally-bound names are not tunable; only
-  // declared program symbols can appear in a binding delta.
+  // Map parameters are bound by their maps and are not tunable unless
+  // the program also declares the name. Every other free symbol is, even
+  // an undeclared one (the ir::validate rule), so a program that skipped
+  // validation cannot read a symbol the delta engine does not watch.
+  std::set<std::string> params;
+  for (const Node& node : state.nodes()) {
+    if (node.kind != NodeKind::MapEntry) continue;
+    params.insert(node.map.params.begin(), node.map.params.end());
+  }
   std::set<std::string> result;
-  for (const std::string& symbol : sdfg.symbols()) {
-    if (reached.contains(symbol)) result.insert(symbol);
+  for (const std::string& symbol : reached) {
+    if (sdfg.symbols().contains(symbol) || !params.contains(symbol)) {
+      result.insert(symbol);
+    }
   }
   return result;
 }

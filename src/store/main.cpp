@@ -3,7 +3,8 @@
 //
 //   dmv_store pack --workload NAME [--set S=V ...] [--chunk-events N] -o F
 //   dmv_store pack --from-text FILE [--chunk-events N] -o F
-//   dmv_store unpack FILE [-o FILE]      text (dmvtrace 1) debug export
+//                                        (a dmvtrace 1 or 2 text trace)
+//   dmv_store unpack FILE [-o FILE]      text (dmvtrace 2) debug export
 //   dmv_store verify FILE                decode every chunk, check sums
 //   dmv_store ls FILE                    header + chunk directory
 //   dmv_store warm --workload NAME --cache-dir DIR --sweep S=LO:HI[:STEP]
@@ -44,8 +45,9 @@ int usage() {
   std::cerr
       << "usage: dmv_store <command> [args]\n"
          "  pack --workload NAME [--set S=V ...] [--chunk-events N] -o F\n"
-         "  pack --from-text FILE [--chunk-events N] -o F\n"
-         "  unpack FILE [-o FILE]\n"
+         "  pack --from-text FILE [--chunk-events N] -o F"
+         "   (dmvtrace 1 or 2)\n"
+         "  unpack FILE [-o FILE]   (writes dmvtrace 2)\n"
          "  verify FILE\n"
          "  ls FILE\n"
          "  warm --workload NAME --cache-dir DIR --sweep S=LO:HI[:STEP]"
@@ -200,7 +202,8 @@ int cmd_verify(int argc, char** argv) {
 int cmd_ls(int argc, char** argv) {
   if (argc != 1) return usage();
   dmv::store::TraceStoreReader reader(argv[0]);
-  std::cout << "dmvs v1: " << reader.total_events() << " events, "
+  std::cout << "dmvs v" << dmv::store::kTraceFormatVersion << ": "
+            << reader.total_events() << " events, "
             << reader.executions() << " executions, "
             << reader.containers().size() << " containers, "
             << reader.chunk_count() << " chunks, " << reader.file_bytes()

@@ -127,8 +127,8 @@ std::uint64_t widened(T value) {
   return static_cast<std::uint64_t>(static_cast<std::int64_t>(value));
 }
 
-/// Detects v[i] == base + i*delta in wrapping u64 arithmetic (the
-/// timestep column — the global event index — always matches).
+/// Detects v[i] == base + i*delta in wrapping u64 arithmetic (e.g. an
+/// execution column with one event per execution).
 template <typename T>
 bool is_arithmetic_seq(std::span<const T> values, std::int64_t& base,
                        std::uint64_t& delta) {
@@ -305,20 +305,17 @@ void decode_bitset_column(ByteReader& reader, std::int64_t n,
   }
 }
 
-/// FNV-1a over the DECODED values of all six columns (widened to 64
+/// FNV-1a over the DECODED values of all four columns (widened to 64
 /// bits), in column order — the quantity the per-chunk checksum gates.
-template <typename C, typename F, typename W, typename T, typename E,
-          typename K>
+template <typename C, typename F, typename W, typename E>
 std::uint64_t columns_checksum(std::int64_t n, C container, F flat, W write,
-                               T timestep, E execution, K tasklet) {
+                               E execution) {
   std::uint64_t hash = detail::kFnvOffset;
   hash = detail::fnv1a(hash, static_cast<std::uint64_t>(n));
   for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, container(i));
   for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, flat(i));
   for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, write(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, timestep(i));
   for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, execution(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, tasklet(i));
   return hash;
 }
 
@@ -341,24 +338,18 @@ EncodedChunk encode_chunk(const sim::EventList& events, std::int64_t offset,
   const auto container = events.container_column().subspan(off, cnt);
   const auto flat = events.flat_column().subspan(off, cnt);
   const auto write = events.write_column().subspan(off, cnt);
-  const auto timestep = events.timestep_column().subspan(off, cnt);
   const auto execution = events.execution_column().subspan(off, cnt);
-  const auto tasklet = events.tasklet_column().subspan(off, cnt);
 
   EncodedChunk chunk;
   encode_int_column(container, /*try_dict=*/true, chunk.payload);
   encode_int_column(flat, /*try_dict=*/false, chunk.payload);
   encode_bitset_column(write, chunk.payload);
-  encode_int_column(timestep, /*try_dict=*/false, chunk.payload);
   encode_int_column(execution, /*try_dict=*/false, chunk.payload);
-  encode_int_column(tasklet, /*try_dict=*/true, chunk.payload);
   chunk.checksum = columns_checksum(
       count, [&](std::int64_t i) { return widened(container[i]); },
       [&](std::int64_t i) { return widened(flat[i]); },
       [&](std::int64_t i) { return std::uint64_t{write[i] != 0 ? 1u : 0u}; },
-      [&](std::int64_t i) { return widened(timestep[i]); },
-      [&](std::int64_t i) { return widened(execution[i]); },
-      [&](std::int64_t i) { return widened(tasklet[i]); });
+      [&](std::int64_t i) { return widened(execution[i]); });
   return chunk;
 }
 
@@ -435,7 +426,6 @@ std::string pack_core(const sim::EventList& events,
     throw std::invalid_argument(
         "trace_store: container/layout tables differ in size");
   }
-  events.ensure_resident();
   const std::vector<ChunkBound> bounds = chunk_bounds(events, options, plan);
 
   // Encode chunks in parallel into private buffers; assembly below is
@@ -522,13 +512,6 @@ std::string pack_trace(const sim::AccessTrace& trace,
                        const sim::TracePlan* plan) {
   return pack_core(trace.events, trace.containers, trace.layouts,
                    trace.executions, options, plan);
-}
-
-std::string pack_events(const sim::EventList& events,
-                        const StoreOptions& options) {
-  // Bare event lists (the spill backing) carry no container table and
-  // no meaningful execution total.
-  return pack_core(events, {}, {}, 0, options, nullptr);
 }
 
 void write_trace_file(const sim::AccessTrace& trace, const std::string& path,
@@ -642,14 +625,12 @@ struct TraceStoreReader::Impl {
                       static_cast<std::size_t>(info.payload_size),
                       "trace_store");
     const std::int64_t n = info.event_count;
-    std::vector<std::int64_t> container, flat, timestep, execution, tasklet;
+    std::vector<std::int64_t> container, flat, execution;
     std::vector<std::uint8_t> write;
     decode_int_column(reader, n, container);
     decode_int_column(reader, n, flat);
     decode_bitset_column(reader, n, write);
-    decode_int_column(reader, n, timestep);
     decode_int_column(reader, n, execution);
-    decode_int_column(reader, n, tasklet);
     if (reader.remaining() != 0) {
       reader.fail("trailing bytes after chunk columns");
     }
@@ -657,18 +638,14 @@ struct TraceStoreReader::Impl {
         n, [&](std::int64_t i) { return static_cast<std::uint64_t>(container[i]); },
         [&](std::int64_t i) { return static_cast<std::uint64_t>(flat[i]); },
         [&](std::int64_t i) { return std::uint64_t{write[i] != 0 ? 1u : 0u}; },
-        [&](std::int64_t i) { return static_cast<std::uint64_t>(timestep[i]); },
-        [&](std::int64_t i) { return static_cast<std::uint64_t>(execution[i]); },
-        [&](std::int64_t i) { return static_cast<std::uint64_t>(tasklet[i]); });
+        [&](std::int64_t i) { return static_cast<std::uint64_t>(execution[i]); });
     if (actual != info.checksum) {
       reader.fail("chunk " + std::to_string(index) +
                   " checksum mismatch (corrupt payload)");
     }
     for (std::int64_t i = 0; i < n; ++i) {
       const std::int64_t raw_container = container[static_cast<std::size_t>(i)];
-      const std::int64_t raw_tasklet = tasklet[static_cast<std::size_t>(i)];
-      if (raw_container != static_cast<std::int32_t>(raw_container) ||
-          raw_tasklet != static_cast<std::int32_t>(raw_tasklet)) {
+      if (raw_container != static_cast<std::int32_t>(raw_container)) {
         reader.fail("32-bit column value out of range in chunk " +
                     std::to_string(index));
       }
@@ -676,9 +653,7 @@ struct TraceStoreReader::Impl {
       event.container = static_cast<std::int32_t>(raw_container);
       event.flat = flat[static_cast<std::size_t>(i)];
       event.is_write = write[static_cast<std::size_t>(i)] != 0;
-      event.timestep = timestep[static_cast<std::size_t>(i)];
       event.execution = execution[static_cast<std::size_t>(i)];
-      event.tasklet = static_cast<ir::NodeId>(raw_tasklet);
       out.set(static_cast<std::size_t>(info.event_offset + i), event);
     }
   }
@@ -807,38 +782,6 @@ sim::AccessTrace TraceStoreReader::read_trace() const {
 void TraceStoreReader::verify() const {
   sim::EventList scratch;
   read_events(scratch);
-}
-
-std::string spill_event_list(sim::EventList& events, const std::string& dir,
-                             const StoreOptions& options) {
-  namespace fs = std::filesystem;
-  const std::string directory = dir.empty() ? std::string(".") : dir;
-  fs::create_directories(directory);
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string path = directory + "/dmv-spill-" +
-                           std::to_string(::getpid()) + "-" +
-                           std::to_string(counter.fetch_add(1)) + ".dmvt";
-  const std::size_t logical_size = events.size();
-  write_bytes_file(pack_events(events, options), path);
-
-  // The backing file lives as long as any spilled list (or copy of one)
-  // still points at it; the last restore/destruction removes it.
-  struct Backing {
-    std::string path;
-    Backing(const Backing&) = delete;
-    Backing& operator=(const Backing&) = delete;
-    explicit Backing(std::string p) : path(std::move(p)) {}
-    ~Backing() {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-    }
-  };
-  auto backing = std::make_shared<Backing>(path);
-  events.spill(logical_size, [backing](sim::EventList& self) {
-    TraceStoreReader reader(backing->path);
-    reader.read_events(self);
-  });
-  return path;
 }
 
 }  // namespace dmv::store

@@ -40,7 +40,7 @@ void LaneEnv::broadcast(int slot, std::int64_t value) {
 namespace {
 
 // Matches the scalar evaluator's inline capacity; programs deeper than
-// this spill the SoA stack to the heap.
+// this move the SoA stack to the heap.
 constexpr int kInlineDepth = 32;
 
 }  // namespace

@@ -77,9 +77,11 @@ double Value::as_number() const {
 }
 
 std::int64_t Value::as_int() const {
+  // int64 spans [-2^63, 2^63): 2^63 itself is a double but not an int64,
+  // and casting it is undefined.
   const double value = as_number();
   if (std::floor(value) != value || value < -9.2233720368547758e18 ||
-      value > 9.2233720368547758e18) {
+      value >= 9.2233720368547758e18) {
     throw ParseError("expected integer");
   }
   return static_cast<std::int64_t>(value);

@@ -201,7 +201,6 @@ void expect_traces_identical(const AccessTrace& a, const AccessTrace& b) {
     ASSERT_EQ(x.is_write, y.is_write) << "event " << i;
     ASSERT_EQ(x.timestep, y.timestep) << "event " << i;
     ASSERT_EQ(x.execution, y.execution) << "event " << i;
-    ASSERT_EQ(x.tasklet, y.tasklet) << "event " << i;
   }
 }
 

@@ -22,11 +22,13 @@
 #include <gtest/gtest.h>
 
 #include "dmv/analysis/analysis.hpp"
+#include "dmv/builder/program_builder.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/session/session.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/symbolic/expr.hpp"
+#include "dmv/symbolic/parser.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "standalone_reference.hpp"
 
@@ -251,6 +253,51 @@ TEST(IncrementalDeltaTest, ProgramOrOptionsChangeInvalidatesCheckpoint) {
   EXPECT_STREQ(outcome.reason, "options changed");
 }
 
+// A program built straight through the ir API, never validated: the map
+// over i in 0:N-1 reads A[i / D] and only N is declared. D still selects
+// which elements each point reads, so it must count as tunable.
+ir::Sdfg undeclared_divisor_program() {
+  builder::ProgramBuilder p("undeclared_divisor");
+  p.symbols({"N"});
+  p.array("A", {"N"});
+  p.array("B", {"N"});
+  ir::Sdfg sdfg = p.sdfg();
+  ir::State& state = sdfg.add_state("main");
+  auto [entry, exit] = state.add_map(ir::MapInfo{
+      "m", {"i"}, {ir::Range{0, symbolic::parse("N-1"), 1}}});
+  const ir::NodeId tasklet = state.add_tasklet("copy", "o = v", entry);
+  const ir::NodeId source = state.add_access("A");
+  const ir::NodeId sink = state.add_access("B");
+  state.add_edge(source, entry, ir::Memlet::simple("A", "0:N-1"), "",
+                 "IN_A");
+  state.add_edge(entry, tasklet, ir::Memlet::simple("A", "i / D"), "OUT_A",
+                 "v");
+  state.add_edge(tasklet, exit, ir::Memlet::simple("B", "i"), "o", "IN_B");
+  state.add_edge(exit, sink, ir::Memlet::simple("B", "0:N-1"), "OUT_B", "");
+  return sdfg;
+}
+
+std::int64_t reads_of_a1(const PipelineResult& result) {
+  const int a = result.container_index("A");
+  return result.counts.reads.at(static_cast<std::size_t>(a)).at(1);
+}
+
+TEST(IncrementalDeltaTest, UndeclaredSymbolDirtiesItsChunks) {
+  const ir::Sdfg sdfg = undeclared_divisor_program();
+  EXPECT_TRUE(analysis::simulation_symbols(sdfg).contains("D"));
+  MetricPipeline pipeline(full_config());
+  SymbolMap binding{{"N", 16}, {"D", 2}};
+  EXPECT_EQ(reads_of_a1(pipeline.run_delta(sdfg, 1, binding)), 2);
+  binding["D"] = 4;
+  DeltaOutcome outcome;
+  const PipelineResult stepped =
+      pipeline.run_delta(sdfg, 1, binding, {}, &outcome);
+  // A cold run reads A[1] at i = 4..7.
+  EXPECT_EQ(reads_of_a1(stepped), 4);
+  EXPECT_EQ(outcome.chunks_clean, 0) << outcome.reason;
+  expect_results_equal(stepped, reference(sdfg, binding, {}));
+}
+
 TEST(IncrementalDeltaTest, InterleavedPublicRunInvalidatesCheckpoint) {
   ir::Sdfg sdfg = fixed_cap_hdiff();
   SimulationOptions options;
@@ -466,6 +513,16 @@ TEST(IncrementalSessionTest, PrefetchRoutesThroughDeltaBitIdentical) {
                      reference(fixed_cap_hdiff(), cap_binding(k),
                                config.simulation));
   }
+}
+
+TEST(IncrementalSessionTest, UndeclaredSymbolChangesTheKey) {
+  session::Session session(undeclared_divisor_program(),
+                           delta_session_config());
+  session.set_binding({{"N", 16}, {"D", 2}});
+  EXPECT_EQ(reads_of_a1(*session.metrics()), 2);
+  session.set_symbol("D", 4);
+  EXPECT_EQ(reads_of_a1(*session.metrics()), 4);
+  EXPECT_TRUE(session.metric_symbols().contains("D"));
 }
 
 }  // namespace

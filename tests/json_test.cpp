@@ -128,6 +128,29 @@ TEST(JsonReader, RejectsWrongSchema) {
       JsonError);
 }
 
+TEST(JsonReader, RejectsOutOfRangeIntegers) {
+  // element_size and node ids are ints: a value past INT_MAX or a
+  // fraction is refused instead of being narrowed.
+  auto container = [](const std::string& element_size) {
+    return "{\"name\": \"p\", \"symbols\": [], \"containers\": [{\"name\": "
+           "\"A\", \"shape\": [\"4\"], \"strides\": [\"1\"], "
+           "\"element_size\": " +
+           element_size + ", \"transient\": false}], \"states\": []}";
+  };
+  EXPECT_NO_THROW(from_json(container("8")));
+  EXPECT_THROW(from_json(container("4294967304")), JsonError);
+  EXPECT_THROW(from_json(container("8.5")), JsonError);
+  EXPECT_THROW(from_json(container("1e300")), JsonError);
+  auto node = [](const std::string& id) {
+    return "{\"name\": \"p\", \"symbols\": [], \"containers\": [], "
+           "\"states\": [{\"name\": \"s\", \"nodes\": [{\"id\": " +
+           id + ", \"kind\": \"tasklet\", \"label\": \"t\"}], "
+           "\"edges\": []}]}";
+  };
+  EXPECT_THROW(from_json(node("2147483648")), JsonError);
+  EXPECT_THROW(from_json(node("0.5")), JsonError);
+}
+
 TEST(JsonReader, ParsesEscapes) {
   Sdfg sdfg("quote\"backslash\\");
   Sdfg restored = from_json(to_json(sdfg));

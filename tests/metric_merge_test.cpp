@@ -6,14 +6,13 @@
 // worker, or a pool task), and an append-only resume of the checkpoint
 // state. Its contract is BIT-IDENTITY with the standalone metric passes
 // for every PipelineResult field, at any (thread, lane, partition)
-// combination, across materialized, generating, delta, resumed and
-// spilled drives. All suites are named MetricMerge so the CI
+// combination, across materialized, generating, delta and resumed
+// drives. All suites are named MetricMerge so the CI
 // determinism / sanitizer / TSan gates pick them up.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,21 +20,11 @@
 #include "dmv/par/par.hpp"
 #include "dmv/sim/pipeline.hpp"
 #include "dmv/sim/sim.hpp"
-#include "dmv/store/trace_store.hpp"
 #include "dmv/workloads/workloads.hpp"
 #include "standalone_reference.hpp"
 
 namespace dmv::sim {
 namespace {
-
-namespace fs = std::filesystem;
-
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("dmv_merge_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 /// Every consumer on.
 PipelineConfig merge_config() {
@@ -139,41 +128,6 @@ TEST(MetricMerge, SetPartitionBoundaries) {
   }
 }
 
-// Satellite regression: a spilled checkpoint must be faulted back in
-// EXACTLY ONCE on the caller before column spans fan out to parallel
-// metric workers — both for run(trace) on an externally spilled trace
-// and for the delta splice against a spilled checkpoint.
-TEST(MetricMerge, SpilledTraceParallelMetrics) {
-  const fs::path dir = scratch_dir("spilled_parallel");
-  const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  symbolic::SymbolMap binding = workloads::hdiff_local();
-
-  const PipelineResult expected =
-      standalone_result(simulate(sdfg, binding), merge_config());
-
-  par::ThreadScope scope(8);
-  // Externally spilled trace straight into the parallel engine.
-  AccessTrace spilled = simulate(sdfg, binding);
-  store::spill_event_list(spilled.events, (dir / "ext").string());
-  ASSERT_TRUE(spilled.events.spilled());
-  MetricPipeline merged(merge_config());
-  expect_results_equal(merged.run(spilled), expected, "externally spilled");
-
-  // Delta engine over a pipeline that spills its checkpoint after every
-  // run: each warm step faults the checkpoint in before the parallel
-  // patch phase.
-  MetricPipeline spilling(merge_config());
-  spilling.set_spill(1, (dir / "ckpt").string());
-  for (const std::int64_t k : {5, 6, 7, 6}) {
-    binding["K"] = k;
-    expect_results_equal(
-        spilling.run_delta(sdfg, 3, binding),
-        standalone_result(simulate(sdfg, binding), merge_config()),
-        "spilled delta K=" + std::to_string(k));
-  }
-  fs::remove_all(dir);
-}
-
 // Hand-built traces: random layouts and event streams, including the
 // degenerate sizes the segment planner must not mishandle.
 TEST(MetricMerge, HandBuiltTraceFuzz) {
@@ -202,7 +156,6 @@ TEST(MetricMerge, HandBuiltTraceFuzz) {
       event.flat = static_cast<std::int64_t>(
           rng() % trace.layouts[event.container].shape[0]);
       event.is_write = (rng() % 4) == 0;
-      event.timestep = static_cast<std::int64_t>(i);
       event.execution = static_cast<std::int64_t>(i);
       trace.events.push_back(event);
     }
@@ -243,7 +196,6 @@ TEST(MetricMerge, SparseLineSpanTakesHashPath) {
     event.container = static_cast<int>(rng() % 2);
     event.flat = static_cast<std::int64_t>(rng() % 512);
     event.is_write = (rng() % 4) == 0;
-    event.timestep = static_cast<std::int64_t>(i);
     event.execution = static_cast<std::int64_t>(i);
     trace.events.push_back(event);
   }

@@ -89,22 +89,21 @@ class Walker {
 
   void tasklet(const Node& node, const SymbolMap& env) {
     for (const Edge* edge : schedule_.in_adjacency[node.id]) {
-      if (!edge->memlet.is_empty()) memlet(edge->memlet, env, false, node.id);
+      if (!edge->memlet.is_empty()) memlet(edge->memlet, env, false);
     }
     for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (!edge->memlet.is_empty()) memlet(edge->memlet, env, true, node.id);
+      if (!edge->memlet.is_empty()) memlet(edge->memlet, env, true);
     }
     ++execution_;
   }
 
-  void memlet(const ir::Memlet& m, const SymbolMap& env, bool is_write,
-              NodeId tasklet) {
+  void memlet(const ir::Memlet& m, const SymbolMap& env, bool is_write) {
     const int container = trace_.container_id(m.data);
     const bool wcr_read =
         is_write && m.wcr != ir::Wcr::None && options_.wcr_reads;
     for (const layout::Index& element : subset_elements(m.subset, env)) {
-      if (wcr_read) emit(container, element, false, tasklet);
-      emit(container, element, is_write, tasklet);
+      if (wcr_read) emit(container, element, false);
+      emit(container, element, is_write);
     }
   }
 
@@ -128,15 +127,14 @@ class Walker {
       const int src = trace_.container_id(edge->memlet.data);
       const int dst_id = trace_.container_id(dst.data);
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        emit(src, sources[i], false, ir::kNoNode);
-        emit(dst_id, destinations[i], true, ir::kNoNode);
+        emit(src, sources[i], false);
+        emit(dst_id, destinations[i], true);
         ++execution_;
       }
     }
   }
 
-  void emit(int container, const layout::Index& indices, bool is_write,
-            NodeId tasklet) {
+  void emit(int container, const layout::Index& indices, bool is_write) {
     const ConcreteLayout& layout = trace_.layouts[container];
     if (!layout.in_bounds(indices)) {
       throw std::out_of_range("reference_trace: access out of bounds on '" +
@@ -146,9 +144,7 @@ class Walker {
     event.container = container;
     event.flat = layout.flat_index(indices);
     event.is_write = is_write;
-    event.timestep = static_cast<std::int64_t>(trace_.events.size());
     event.execution = execution_;
-    event.tasklet = tasklet;
     trace_.events.push_back(event);
   }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -264,6 +265,57 @@ TEST(ServeProtocolTest, BadStepBindingIsBadRequest) {
   EXPECT_EQ(divided.at("result").at("checksum").as_string(),
             std::to_string(dmv::serve::result_checksum(*lone_div.metrics())));
   EXPECT_EQ(server.stats().errors, 4);
+}
+
+TEST(ServeProtocolTest, OutOfRangeIntegersAreBadRequest) {
+  // 2^63 parses as a double that no int64 holds; it used to be cast
+  // anyway, and the step that followed crashed the server. Subscribe
+  // integers are range-checked before they are narrowed, and
+  // prefetch_depth is capped at the protocol limit of 8.
+  Server server;
+  server.handle(open_request("a", "hdiff"));
+  const std::string subscribe =
+      "{\"id\":1,\"method\":\"subscribe\",\"params\":{\"session\":\"a\",";
+  const std::string requests[] = {
+      "{\"id\":1,\"method\":\"bind\",\"params\":{\"session\":\"a\","
+      "\"binding\":{\"I\":9223372036854775807}}}",
+      "{\"id\":1,\"method\":\"step\",\"params\":{\"session\":\"a\","
+      "\"symbol\":\"K\",\"value\":9223372036854775808}}",
+      subscribe + "\"prefetch_depth\":9}}",
+      subscribe + "\"prefetch_depth\":1099511627776}}",
+      subscribe + "\"prefetch_depth\":-1}}",
+      subscribe + "\"cache_budget_bytes\":-1}}",
+      subscribe + "\"line_size\":0}}",
+      subscribe + "\"line_size\":4294967360}}",
+  };
+  for (const std::string& request : requests) {
+    const Value response = parse_line(server.handle(request));
+    ASSERT_TRUE(response.has("error")) << request;
+    EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request")
+        << dmv::json::dump(response);
+  }
+  EXPECT_EQ(server.stats().errors, 8);
+  // The session kept its binding and subscription and still serves a
+  // step bit-identical to a lone Session.
+  const Value stepped = parse_line(server.handle(step_request("a", "K", 6)));
+  ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
+  EXPECT_EQ(stepped.at("result").at("checksum").as_string(),
+            reference_checksums({6}).front());
+  const Value limit = parse_line(server.handle(subscribe +
+                                               "\"prefetch_depth\":8}}"));
+  ASSERT_TRUE(limit.has("result")) << dmv::json::dump(limit);
+  EXPECT_EQ(limit.at("result").at("prefetch_depth").as_int(), 8);
+}
+
+TEST(ServeJsonTest, AsIntRejectsTwoToTheSixtyThree) {
+  EXPECT_THROW(dmv::json::parse("9223372036854775808").as_int(),
+               dmv::json::ParseError);
+  EXPECT_THROW(dmv::json::parse("9223372036854775807").as_int(),
+               dmv::json::ParseError);  // Rounds to 2^63 as a double.
+  EXPECT_EQ(dmv::json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(dmv::json::parse("9223372036854774784").as_int(),
+            std::int64_t{9223372036854774784});  // Largest double < 2^63.
 }
 
 TEST(ServeProtocolTest, SubscribeRebuildsSessionPreservingBinding) {

@@ -68,6 +68,62 @@ TEST(TraceIo, HandWrittenExternalTrace) {
   EXPECT_EQ(counts.writes[0][5], 1);
 }
 
+TEST(TraceIo, WritesVersionTwoEventLines) {
+  // Version 2 event lines are `<container> <flat> <r|w> <execution>`;
+  // the timestep is the line's position and is not written.
+  AccessTrace trace = trace_from_string(
+      "dmvtrace 2\n"
+      "container buffer 4 0 4 4 ; 4 1\n"
+      "events\n"
+      "0 0 r 0\n"
+      "0 5 w 0\n"
+      "0 0 r 1\n");
+  ASSERT_EQ(trace.events.size(), 3u);
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    EXPECT_EQ(trace.events[i].timestep, static_cast<std::int64_t>(i));
+  }
+  EXPECT_TRUE(trace.events[1].is_write);
+  EXPECT_EQ(trace.events[1].flat, 5);
+  EXPECT_EQ(trace.executions, 2);
+  EXPECT_EQ(trace_to_string(trace),
+            "dmvtrace 2\n"
+            "container buffer 4 0 4 4 ; 4 1\n"
+            "events\n"
+            "0 0 r 0\n"
+            "0 5 w 0\n"
+            "0 0 r 1\n");
+}
+
+TEST(TraceIo, VersionOneFieldsAreCheckedThenIgnored) {
+  // A version 1 timestep need not match the position: the event's
+  // timestep is its index either way.
+  AccessTrace trace = trace_from_string(
+      "dmvtrace 1\n"
+      "container a 8 0 4 ; 1\n"
+      "events\n"
+      "70 0 1 r 0 3\n"
+      "12 0 2 w 0 3\n");
+  ASSERT_EQ(trace.events.size(), 2u);
+  EXPECT_EQ(trace.events[0].timestep, 0);
+  EXPECT_EQ(trace.events[1].timestep, 1);
+  EXPECT_EQ(trace.events[1].flat, 2);
+  const std::string header = "dmvtrace 1\ncontainer a 8 0 4 ; 1\nevents\n";
+  // The dropped fields must still be integers, and present.
+  EXPECT_THROW(trace_from_string(header + "x 0 1 r 0 3\n"),
+               std::runtime_error);
+  EXPECT_THROW(trace_from_string(header + "0 0 1 r 0 t\n"),
+               std::runtime_error);
+  EXPECT_THROW(trace_from_string(header + "0 0 1 r 0\n"),
+               std::runtime_error);
+  // A six-field line in a version 2 file, or a four-field line in a
+  // version 1 file, is malformed.
+  EXPECT_THROW(trace_from_string("dmvtrace 2\ncontainer a 8 0 4 ; 1\n"
+                                 "events\n0 0 1 r 0 3\n"),
+               std::runtime_error);
+  EXPECT_THROW(trace_from_string(header + "0 1 r 0\n"), std::runtime_error);
+  EXPECT_THROW(trace_from_string("dmvtrace 3\n"), std::runtime_error);
+}
+
 TEST(TraceIo, HostileContainerNamesRoundTrip) {
   // Names with whitespace or backslashes must survive the
   // space-delimited header via escaping (`\s`, `\t`, `\n`, `\r`, `\\`,
@@ -90,7 +146,6 @@ TEST(TraceIo, HostileContainerNamesRoundTrip) {
     event.container = static_cast<std::int32_t>(c);
     event.flat = static_cast<std::int64_t>(c % 4);
     event.is_write = c % 2 == 0;
-    event.timestep = static_cast<std::int64_t>(c);
     event.execution = 0;
     original.events.push_back(event);
   }

@@ -49,9 +49,9 @@ void expect_chunk_matches(const ir::Sdfg& sdfg,
     ASSERT_EQ(got.container, want.container) << "chunk event " << i;
     ASSERT_EQ(got.flat, want.flat) << "chunk event " << i;
     ASSERT_EQ(got.is_write, want.is_write) << "chunk event " << i;
-    ASSERT_EQ(got.timestep, want.timestep) << "chunk event " << i;
+    ASSERT_EQ(chunk.event_offset + got.timestep, want.timestep)
+        << "chunk event " << i;
     ASSERT_EQ(got.execution, want.execution) << "chunk event " << i;
-    ASSERT_EQ(got.tasklet, want.tasklet) << "chunk event " << i;
   }
 }
 
