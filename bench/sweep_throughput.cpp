@@ -57,6 +57,7 @@
 #include "dmv/sim/sim.hpp"
 #include "dmv/store/artifact_store.hpp"
 #include "dmv/store/trace_store.hpp"
+#include "dmv/util/fnv1a.hpp"
 #include "dmv/workloads/workloads.hpp"
 
 namespace {
@@ -175,15 +176,15 @@ std::int64_t run_simulate_only(const SweepCase& sweep,
 // changes the value. This is the identity gate for the trace-generation
 // series — executions + events.size() would miss a permutation.
 std::int64_t trace_checksum(const AccessTrace& trace) {
-  std::uint64_t h = 1469598103934665603ull ^
-                    static_cast<std::uint64_t>(trace.executions);
+  std::uint64_t h =
+      dmv::util::kFnvOffset ^ static_cast<std::uint64_t>(trace.executions);
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
     const dmv::sim::AccessEvent event = trace.events[i];
     std::uint64_t word = static_cast<std::uint64_t>(event.flat);
     word = word * 31 + static_cast<std::uint64_t>(event.container);
     word = word * 31 + (event.is_write ? 1 : 0);
     word = word * 31 + static_cast<std::uint64_t>(event.execution);
-    h = (h ^ word) * 1099511628211ull;
+    h = dmv::util::fnv1a(h, word);
   }
   return static_cast<std::int64_t>(h);
 }
@@ -230,12 +231,11 @@ std::int64_t run_sweep(const SweepCase& sweep,
 // record on a 1-core runner).
 
 std::uint64_t fnv_fold(std::uint64_t hash, std::int64_t value) {
-  hash ^= static_cast<std::uint64_t>(value);
-  return hash * 1099511628211ull;
+  return dmv::util::fnv1a(hash, static_cast<std::uint64_t>(value));
 }
 
 std::uint64_t result_fingerprint(const dmv::sim::PipelineResult& result) {
-  std::uint64_t hash = 1469598103934665603ull;
+  std::uint64_t hash = dmv::util::kFnvOffset;
   hash = fnv_fold(hash, result.events);
   hash = fnv_fold(hash, result.executions);
   hash = fnv_fold(hash, static_cast<std::int64_t>(result.containers.size()));
@@ -582,12 +582,10 @@ bool validate_trace_store(const SweepCase& sweep,
   dmv::sim::MetricPipeline pipeline(bench_config());
   const dmv::sim::PipelineResult result =
       pipeline.run(sweep.sdfg, sweep.bindings.front(), options);
-  const dmv::session::ArtifactCodec codec =
-      dmv::store::pipeline_result_codec();
-  std::shared_ptr<const void> decoded = codec.decode(codec.encode(&result));
-  if (!decoded ||
-      pipeline_checksum(*static_cast<const dmv::sim::PipelineResult*>(
-          decoded.get())) != pipeline_checksum(result)) {
+  const std::shared_ptr<const dmv::sim::PipelineResult> decoded =
+      dmv::store::decode_pipeline_result(
+          dmv::store::encode_pipeline_result(result));
+  if (!decoded || pipeline_checksum(*decoded) != pipeline_checksum(result)) {
     std::cerr << "FATAL: pipeline-result codec mismatch on " << sweep.name
               << "\n";
     return false;
@@ -794,7 +792,7 @@ int main(int argc, char** argv) {
     std::size_t store_raw_bytes = 0;
     for (const AccessTrace& trace : traces) {
       store_events += trace.events.size();
-      store_raw_bytes += trace.events.capacity_bytes();
+      store_raw_bytes += trace.events.used_bytes();
     }
     std::vector<std::string> packed(traces.size());
     const Measurement store_pack = measure(
@@ -1174,8 +1172,6 @@ int main(int argc, char** argv) {
     const auto make_shared_cache = [&] {
       dmv::session::SharedArtifactCache::Config shared;
       shared.disk_dir = dir.string();
-      shared.codecs.emplace_back(dmv::session::metrics_artifact_kind(),
-                                 dmv::store::pipeline_result_codec());
       return std::make_shared<dmv::session::SharedArtifactCache>(shared);
     };
 

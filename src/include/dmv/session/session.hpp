@@ -226,11 +226,4 @@ class Session {
   std::unique_ptr<Impl> impl_;
 };
 
-/// ArtifactKey::kind value of the metrics artifact (the cached
-/// sim::PipelineResult). The serving layer uses it to register the
-/// store::pipeline_result_codec() disk codec for exactly this artifact
-/// — the one whose recomputation costs a simulation — without exposing
-/// the session-internal Kind enum.
-std::uint8_t metrics_artifact_kind();
-
 }  // namespace dmv::session

@@ -290,12 +290,11 @@ class EventList {
   std::span<const std::uint8_t> write_column() const { return is_write_; }
   std::span<const std::int64_t> execution_column() const { return execution_; }
 
-  /// Bytes currently RESERVED by the columns.
-  std::size_t capacity_bytes() const {
-    return container_.capacity() * sizeof(std::int32_t) +
-           flat_.capacity() * sizeof(std::int64_t) +
-           is_write_.capacity() * sizeof(std::uint8_t) +
-           execution_.capacity() * sizeof(std::int64_t);
+  /// Bytes the events occupy in the four columns (21 per event); the
+  /// spare capacity a growing list reserves is not counted.
+  std::size_t used_bytes() const {
+    return size() * (sizeof(std::int32_t) + sizeof(std::int64_t) +
+                     sizeof(std::uint8_t) + sizeof(std::int64_t));
   }
 
  private:

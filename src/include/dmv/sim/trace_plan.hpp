@@ -81,18 +81,17 @@ void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
 /// Generates exactly `chunk` of a plan for this (sdfg, symbols, options)
 /// triple, with absolute execution stamps. `header` supplies the
 /// placed container layouts (any trace simulate() returned for the same
-/// binding and options, or place_containers()' output). When `absolute`,
-/// `out` must be pre-sized to the plan's total and the events are written
-/// AT their [event_offset, event_offset + event_count) slice indices —
-/// the parallel writer's and the delta engine's dirty-chunk path;
-/// otherwise they are appended (the tests' chunk-by-chunk validation),
-/// so their timesteps count from `out`'s size, not from event_offset.
-/// Throws std::logic_error if the chunk's generated event or execution
-/// count disagrees with the plan.
+/// binding and options, or place_containers()' output). `out` must be
+/// sized to at least event_offset + event_count; the events are written
+/// AT their [event_offset, event_offset + event_count) slice indices, so
+/// concurrent calls on disjoint chunks of one list are safe — the
+/// parallel writer's and the delta engine's dirty-chunk path. Throws
+/// std::logic_error if the chunk's generated event or execution count
+/// disagrees with the plan.
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     const SimulationOptions& options,
                     const AccessTrace& header, const TraceChunk& chunk,
-                    EventList& out, bool absolute);
+                    EventList& out);
 
 /// Dependency symbol set of each chunk, index-aligned with plan.chunks:
 /// the symbols (declared, or free and not a map parameter of the state)

@@ -1,8 +1,9 @@
 #pragma once
 
 // Persistent artifact storage — the disk tier behind
-// session::SharedArtifactCache, plus the binary codec for the metrics
-// bundle (sim::PipelineResult) the serving layer persists.
+// session::SharedArtifactCache, plus the exact binary codec for the
+// metrics bundle (sim::PipelineResult, session::kMetricsArtifactKind),
+// the one artifact kind that tier persists.
 //
 // One file per artifact under the cache directory, named by the 64-bit
 // FNV-1a hash of the canonical key encoding (16 hex digits + ".dmva").
@@ -104,9 +105,5 @@ std::string encode_pipeline_result(const sim::PipelineResult& result);
 /// truncation, checksum mismatch).
 std::shared_ptr<const sim::PipelineResult> decode_pipeline_result(
     const std::string& bytes);
-
-/// The (kind = session::metrics_artifact_kind()) codec registration for
-/// SharedArtifactCache::Config::codecs.
-session::ArtifactCodec pipeline_result_codec();
 
 }  // namespace dmv::store

@@ -12,7 +12,6 @@
 #include "dmv/ir/json_reader.hpp"
 #include "dmv/ir/validate.hpp"
 #include "dmv/par/par.hpp"
-#include "dmv/store/artifact_store.hpp"
 #include "dmv/util/json.hpp"
 #include "dmv/workloads/workloads.hpp"
 
@@ -135,17 +134,9 @@ struct Server::Impl {
   std::int64_t coalesced = 0;
 
   explicit Impl(ServerConfig server_config)
-      : config(std::move(server_config)) {
-    if (!config.shared_cache.disk_dir.empty()) {
-      // Persistent tier: register the codec for the metrics bundle —
-      // the one artifact whose recomputation costs a simulation — so a
-      // restarted server re-serves prior sweeps from the cache dir.
-      config.shared_cache.codecs.emplace_back(
-          session::metrics_artifact_kind(), store::pipeline_result_codec());
-    }
-    shared = std::make_shared<session::SharedArtifactCache>(
-        config.shared_cache);
-  }
+      : config(std::move(server_config)),
+        shared(std::make_shared<session::SharedArtifactCache>(
+            config.shared_cache)) {}
 
   std::shared_ptr<Client> client_for(const std::string& name) {
     std::lock_guard<std::mutex> lock(sessions_mutex);

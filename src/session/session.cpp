@@ -1,15 +1,15 @@
 #include "dmv/session/session.hpp"
 
 #include <algorithm>
-#include <list>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "artifact_lru.hpp"
 #include "dmv/analysis/analysis.hpp"
 #include "dmv/ir/serialize.hpp"
 #include "dmv/par/par.hpp"
+#include "dmv/util/fnv1a.hpp"
 #include "dmv/viz/render.hpp"
 
 namespace dmv::session {
@@ -20,18 +20,6 @@ using sim::MetricPipeline;
 using sim::PipelineResult;
 using symbolic::Expr;
 using symbolic::SymbolMap;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  hash ^= value;
-  hash *= 1099511628211ull;
-  return hash;
-}
-
-std::uint64_t hash_bytes(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : text) hash = fnv1a(hash, static_cast<unsigned char>(c));
-  return hash;
-}
 
 /// Rough heap footprint of an expression: one node's worth per DISTINCT
 /// interned node reachable from it. Hash-consing makes subtree sharing
@@ -46,7 +34,7 @@ std::size_t expr_bytes(const Expr& e) {
 /// Artifact discriminator; part of every cache key, so one LRU holds
 /// heterogeneous payloads without type confusion.
 enum class Kind : std::uint8_t {
-  kMetrics,
+  kMetrics = kMetricsArtifactKind,
   kMovementVolume,
   kMovementValue,
   kStateVolumes,
@@ -70,7 +58,6 @@ constexpr int kStepCold = 3;
 /// construction — that restriction is the whole invalidation story
 /// (see session.hpp).
 using Key = ArtifactKey;
-using KeyHash = ArtifactKeyHash;
 
 constexpr std::uint8_t raw(Kind kind) {
   return static_cast<std::uint8_t>(kind);
@@ -113,16 +100,8 @@ struct Session::Impl {
   /// thread-safe); arenas persist across drags.
   std::vector<std::unique_ptr<MetricPipeline>> prefetch_pipelines;
 
-  // --- LRU cache -----------------------------------------------------
-  struct Entry {
-    Key key;
-    std::shared_ptr<const void> value;
-    std::size_t bytes = 0;
-    bool prefetched = false;  ///< Inserted speculatively, not yet hit.
-  };
-  std::list<Entry> lru;  ///< Front = most recently used.
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-  std::size_t cache_bytes = 0;
+  /// The private tier, budgeted by config.cache_budget_bytes.
+  detail::ArtifactLru cache;
   SessionStats stats;
   /// Max rank of the work the current step needed; -1 = no artifact
   /// requested since the last binding change (nothing to classify).
@@ -144,16 +123,18 @@ struct Session::Impl {
   explicit Impl(ir::Sdfg sdfg, SessionConfig session_config)
       : config(std::move(session_config)),
         program(std::move(sdfg)),
-        pipeline(config.pipeline) {
+        pipeline(config.pipeline),
+        cache(config.cache_budget_bytes) {
     config_hash = sim::fingerprint(config.pipeline);
-    config_hash = fnv1a(config_hash, static_cast<std::uint64_t>(
-                                         config.simulation.placement_alignment));
-    config_hash = fnv1a(config_hash, config.simulation.wcr_reads ? 1 : 0);
+    config_hash = util::fnv1a(
+        config_hash,
+        static_cast<std::uint64_t>(config.simulation.placement_alignment));
+    config_hash = util::fnv1a(config_hash, config.simulation.wcr_reads ? 1 : 0);
     rehash_program();
   }
 
   void rehash_program() {
-    program_hash = hash_bytes(ir::to_json(program));
+    program_hash = util::fnv1a_string(ir::to_json(program));
     metric_symbols = analysis::simulation_symbols(program);
   }
 
@@ -162,16 +143,13 @@ struct Session::Impl {
   // promoted into the local LRU so repeats stay lock-free). Returns
   // nullptr on miss in both tiers.
   std::shared_ptr<const void> lookup(const Key& key) {
-    auto it = index.find(key);
-    if (it != index.end()) {
+    if (detail::ArtifactLru::Entry* entry = cache.lookup(key)) {
       ++stats.hits;
-      Entry& entry = *it->second;
-      if (entry.prefetched) {
+      if (entry->prefetched) {
         ++stats.prefetch_hits;
-        entry.prefetched = false;
+        entry->prefetched = false;
       }
-      lru.splice(lru.begin(), lru, it->second);
-      return entry.value;
+      return entry->value;
     }
     if (config.shared_cache) {
       std::size_t bytes = 0;
@@ -179,7 +157,9 @@ struct Session::Impl {
               config.shared_cache->lookup(key, &bytes)) {
         ++stats.hits;
         ++stats.shared_hits;
-        insert_local(key, value, bytes, /*prefetched=*/false);
+        // Promote into the local tier only (publishing it back would be
+        // a no-op churn).
+        cache.insert({key, value, bytes}, stats.evictions);
         return value;
       }
     }
@@ -188,29 +168,8 @@ struct Session::Impl {
   }
 
   bool contains(const Key& key) const {
-    return index.contains(key) ||
+    return cache.contains(key) ||
            (config.shared_cache && config.shared_cache->contains(key));
-  }
-
-  /// Local-tier insert only — used directly when promoting a shared hit
-  /// (publishing it back would be a no-op churn).
-  void insert_local(Key key, std::shared_ptr<const void> value,
-                    std::size_t bytes, bool prefetched) {
-    auto it = index.find(key);
-    if (it != index.end()) return;  // Lost race with an earlier insert.
-    lru.push_front(Entry{std::move(key), std::move(value), bytes, prefetched});
-    index.emplace(lru.front().key, lru.begin());
-    cache_bytes += bytes;
-    // Byte-budgeted eviction; the freshly inserted entry is exempt so a
-    // single oversized artifact still caches (and recomputing it would
-    // be deterministic anyway — eviction never changes results).
-    while (cache_bytes > config.cache_budget_bytes && lru.size() > 1) {
-      const Entry& victim = lru.back();
-      cache_bytes -= victim.bytes;
-      index.erase(victim.key);
-      lru.pop_back();
-      ++stats.evictions;
-    }
   }
 
   /// Computed-artifact insert: local tier plus (when configured) the
@@ -220,7 +179,8 @@ struct Session::Impl {
     if (config.shared_cache) {
       config.shared_cache->insert(key, value, bytes);
     }
-    insert_local(std::move(key), std::move(value), bytes, prefetched);
+    cache.insert({std::move(key), std::move(value), bytes, prefetched},
+                 stats.evictions);
   }
 
   /// Fetch-or-compute helper: all artifact getters funnel through here.
@@ -596,8 +556,8 @@ ArtifactKey Session::metrics_cache_key() const {
 SessionStats Session::stats() const {
   impl_->finalize_step();  // Classify the in-progress step (header doc).
   SessionStats stats = impl_->stats;
-  stats.cache_bytes = impl_->cache_bytes;
-  stats.cache_entries = impl_->lru.size();
+  stats.cache_bytes = impl_->cache.bytes();
+  stats.cache_entries = impl_->cache.size();
   return stats;
 }
 
@@ -606,12 +566,6 @@ void Session::reset_stats() {
   impl_->step_rank = -1;
 }
 
-void Session::clear_cache() {
-  impl_->lru.clear();
-  impl_->index.clear();
-  impl_->cache_bytes = 0;
-}
-
-std::uint8_t metrics_artifact_kind() { return raw(Kind::kMetrics); }
+void Session::clear_cache() { impl_->cache.clear(); }
 
 }  // namespace dmv::session

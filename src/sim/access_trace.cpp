@@ -74,11 +74,10 @@ class Simulator {
 
   /// Generates exactly one plan chunk, starting mid-iteration-space at
   /// the plan's absolute event position and execution stamp. `header`
-  /// supplies the placed layouts; events go to `out` — written at their
-  /// absolute slice indices when `absolute` (the pre-sized disjoint-slice
-  /// path), appended otherwise (test validation).
+  /// supplies the placed layouts; events are written at their slice
+  /// indices of the pre-sized `out`.
   void run_chunk(const AccessTrace& header, const TraceChunk& chunk,
-                 EventList& out, bool absolute) {
+                 EventList& out) {
     layouts_ = &header.layouts;
     container_ids_.clear();
     for (std::size_t i = 0; i < header.containers.size(); ++i) {
@@ -90,7 +89,6 @@ class Simulator {
     position_ = chunk.event_offset;
     execution_ = chunk.execution_offset;
     out_ = &out;
-    out_absolute_ = absolute;
     chunk_limit_ = chunk.event_offset + chunk.event_count;
     const Node& node = state.node(chunk.node);
     compile_state(state);
@@ -671,11 +669,7 @@ class Simulator {
         throw std::logic_error(
             "simulate: trace plan chunk overflow (planner bug)");
       }
-      if (out_absolute_) {
-        out_->set(static_cast<std::size_t>(position), event);
-      } else {
-        out_->push_back(event);
-      }
+      out_->set(static_cast<std::size_t>(position), event);
     } else {
       trace_->events.push_back(event);
     }
@@ -688,10 +682,9 @@ class Simulator {
   /// Placed layouts events resolve against: the owned trace's layouts in
   /// a full run, the shared header's in chunk mode.
   const std::vector<ConcreteLayout>* layouts_ = nullptr;
-  /// Chunk mode only: target list, write discipline, and the absolute
-  /// event index one past the chunk's slice.
+  /// Chunk mode only: target list and the absolute event index one past
+  /// the chunk's slice.
   EventList* out_ = nullptr;
-  bool out_absolute_ = false;
   std::int64_t chunk_limit_ = 0;
   std::map<std::string, int> container_ids_;
   ir::StateSchedule schedule_;
@@ -772,8 +765,7 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
                         [&](std::size_t begin, std::size_t end) {
                           for (std::size_t c = begin; c < end; ++c) {
                             simulate_chunk(sdfg, symbols, options, trace,
-                                           plan.chunks[c], trace.events,
-                                           /*absolute=*/true);
+                                           plan.chunks[c], trace.events);
                           }
                         });
       trace.executions = plan.total_executions;
@@ -786,9 +778,13 @@ void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     const SimulationOptions& options,
                     const AccessTrace& header, const TraceChunk& chunk,
-                    EventList& out, bool absolute) {
+                    EventList& out) {
+  if (static_cast<std::int64_t>(out.size()) <
+      chunk.event_offset + chunk.event_count) {
+    throw std::invalid_argument("simulate_chunk: output list too short");
+  }
   Simulator chunk_sim(sdfg, symbols, options);
-  chunk_sim.run_chunk(header, chunk, out, absolute);
+  chunk_sim.run_chunk(header, chunk, out);
 }
 
 void place_containers(const Sdfg& sdfg, const SymbolMap& symbols,

@@ -12,6 +12,7 @@
 
 #include "dmv/par/par.hpp"
 #include "dmv/sim/trace_plan.hpp"
+#include "dmv/util/fnv1a.hpp"
 #include "metric_detail.hpp"
 #include "metric_merge.hpp"
 
@@ -64,11 +65,8 @@ int PipelineResult::container_index(const std::string& name) const {
 
 std::uint64_t fingerprint(const PipelineConfig& config) {
   // FNV-1a over every output-relevant field.
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
+  std::uint64_t hash = util::kFnvOffset;
+  auto mix = [&hash](std::uint64_t value) { hash = util::fnv1a(hash, value); };
   mix(static_cast<std::uint64_t>(config.line_size));
   mix(config.counts ? 1 : 0);
   mix(static_cast<std::uint64_t>(config.miss_threshold_lines));
@@ -181,11 +179,8 @@ constexpr int kDeltaMaxChunks = 1 << 20;
 // Fingerprint of the SimulationOptions fields that can change the
 // simulator's OUTPUT — today every field.
 std::uint64_t delta_options_fingerprint(const SimulationOptions& options) {
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
+  std::uint64_t hash = util::kFnvOffset;
+  auto mix = [&hash](std::uint64_t value) { hash = util::fnv1a(hash, value); };
   mix(static_cast<std::uint64_t>(options.placement_alignment));
   mix(options.wcr_reads ? 1 : 0);
   return hash;
@@ -362,8 +357,7 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
           for (std::size_t idx = begin; idx < end; ++idx) {
             if (matches[idx].clean) continue;
             simulate_chunk(sdfg, symbols, options, arena.scratch_header,
-                           plan_new.chunks[idx], arena.trace.events,
-                           /*absolute=*/true);
+                           plan_new.chunks[idx], arena.trace.events);
           }
         });
   } else {
@@ -381,7 +375,7 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
                   nc.execution_offset - matches[idx].old_execution_offset);
             } else {
               simulate_chunk(sdfg, symbols, options, arena.scratch_header, nc,
-                             arena.back_events, /*absolute=*/true);
+                             arena.back_events);
             }
           }
         });

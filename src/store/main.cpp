@@ -153,7 +153,7 @@ int cmd_pack(int argc, char** argv) {
                                plan.parallelizable ? &plan : nullptr);
   dmv::store::TraceStoreReader reader(output);
   std::cout << "packed " << trace.events.size() << " events ("
-            << trace.events.capacity_bytes() << " bytes raw) -> " << output
+            << trace.events.used_bytes() << " bytes raw) -> " << output
             << " (" << reader.file_bytes() << " bytes, "
             << reader.chunk_count() << " chunks)\n";
   return 0;
@@ -250,8 +250,6 @@ int cmd_warm(int argc, char** argv) {
   // computes land in the directory a later server re-serves from.
   dmv::session::SharedArtifactCache::Config shared_config;
   shared_config.disk_dir = cache_dir;
-  shared_config.codecs.emplace_back(dmv::session::metrics_artifact_kind(),
-                                    dmv::store::pipeline_result_codec());
   dmv::session::SessionConfig session_config;  // dmv_serve defaults.
   session_config.shared_cache =
       std::make_shared<dmv::session::SharedArtifactCache>(shared_config);

@@ -310,12 +310,12 @@ void decode_bitset_column(ByteReader& reader, std::int64_t n,
 template <typename C, typename F, typename W, typename E>
 std::uint64_t columns_checksum(std::int64_t n, C container, F flat, W write,
                                E execution) {
-  std::uint64_t hash = detail::kFnvOffset;
-  hash = detail::fnv1a(hash, static_cast<std::uint64_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, container(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, flat(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, write(i));
-  for (std::int64_t i = 0; i < n; ++i) hash = detail::fnv1a(hash, execution(i));
+  std::uint64_t hash = util::kFnvOffset;
+  hash = util::fnv1a(hash, static_cast<std::uint64_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, container(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, flat(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, write(i));
+  for (std::int64_t i = 0; i < n; ++i) hash = util::fnv1a(hash, execution(i));
   return hash;
 }
 

@@ -193,8 +193,8 @@ TEST(StoreRoundTripTest, CompressesAtLeastTwoToOne) {
   ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
   sim::AccessTrace trace = sim::simulate(sdfg, workloads::hdiff_local());
   const std::string bytes = store::pack_trace(trace);
-  EXPECT_GE(trace.events.capacity_bytes(), 2 * bytes.size())
-      << "raw " << trace.events.capacity_bytes() << " vs packed "
+  EXPECT_GE(trace.events.used_bytes(), 2 * bytes.size())
+      << "raw " << trace.events.used_bytes() << " vs packed "
       << bytes.size();
 }
 
@@ -351,12 +351,11 @@ TEST(StoreDiskCacheTest, PipelineResultCodecIsExact) {
   sim::PipelineResult original =
       pipeline.run(sdfg, workloads::matmul_fig5());
 
-  const session::ArtifactCodec codec = store::pipeline_result_codec();
-  const std::string bytes = codec.encode(&original);
-  std::shared_ptr<const void> decoded = codec.decode(bytes);
+  const std::string bytes = store::encode_pipeline_result(original);
+  const std::shared_ptr<const sim::PipelineResult> decoded =
+      store::decode_pipeline_result(bytes);
   ASSERT_NE(decoded, nullptr);
-  const auto& restored =
-      *static_cast<const sim::PipelineResult*>(decoded.get());
+  const sim::PipelineResult& restored = *decoded;
   EXPECT_EQ(restored.events, original.events);
   EXPECT_EQ(restored.executions, original.executions);
   EXPECT_EQ(restored.containers, original.containers);
@@ -370,9 +369,10 @@ TEST(StoreDiskCacheTest, PipelineResultCodecIsExact) {
   for (const std::size_t at : {std::size_t{6}, bytes.size() / 2}) {
     std::string damaged = bytes;
     damaged[at] ^= 0x10;
-    EXPECT_EQ(codec.decode(damaged), nullptr) << "flip at " << at;
+    EXPECT_EQ(store::decode_pipeline_result(damaged), nullptr)
+        << "flip at " << at;
   }
-  EXPECT_EQ(codec.decode(std::string("DMVR")), nullptr);
+  EXPECT_EQ(store::decode_pipeline_result(std::string("DMVR")), nullptr);
 }
 
 TEST(StoreDiskCacheTest, SharedTierWarmStartsFromDisk) {
@@ -381,11 +381,10 @@ TEST(StoreDiskCacheTest, SharedTierWarmStartsFromDisk) {
   sim::MetricPipeline pipeline(sim::PipelineConfig{});
   auto artifact = std::make_shared<sim::PipelineResult>(
       pipeline.run(sdfg, workloads::matmul_fig5()));
-  const std::uint8_t kind = session::metrics_artifact_kind();
+  const std::uint8_t kind = session::kMetricsArtifactKind;
 
   session::SharedArtifactCache::Config config;
   config.disk_dir = dir.string();
-  config.codecs.emplace_back(kind, store::pipeline_result_codec());
   {
     session::SharedArtifactCache first(config);
     first.insert(test_key(kind, 5), artifact, 1024);

@@ -31,27 +31,26 @@ AccessTrace serial_trace(const ir::Sdfg& sdfg, const symbolic::SymbolMap& b,
   return simulate(sdfg, b, options);
 }
 
-// Regenerates `chunk` in isolation through simulate_chunk and compares it
-// against the corresponding slice of `reference`.
+// Regenerates `chunk` in isolation through simulate_chunk and compares
+// its slice against the corresponding slice of `reference`.
 void expect_chunk_matches(const ir::Sdfg& sdfg,
                           const symbolic::SymbolMap& binding,
                           const SimulationOptions& options,
                           const AccessTrace& reference,
                           const TraceChunk& chunk) {
   EventList events;
-  simulate_chunk(sdfg, binding, options, reference, chunk, events,
-                 /*absolute=*/false);
-  ASSERT_EQ(static_cast<std::int64_t>(events.size()), chunk.event_count);
-  for (std::int64_t i = 0; i < chunk.event_count; ++i) {
+  events.resize(static_cast<std::size_t>(chunk.event_offset +
+                                         chunk.event_count));
+  simulate_chunk(sdfg, binding, options, reference, chunk, events);
+  for (std::int64_t i = chunk.event_offset;
+       i < chunk.event_offset + chunk.event_count; ++i) {
     const AccessEvent got = events[static_cast<std::size_t>(i)];
-    const AccessEvent want =
-        reference.events[static_cast<std::size_t>(chunk.event_offset + i)];
-    ASSERT_EQ(got.container, want.container) << "chunk event " << i;
-    ASSERT_EQ(got.flat, want.flat) << "chunk event " << i;
-    ASSERT_EQ(got.is_write, want.is_write) << "chunk event " << i;
-    ASSERT_EQ(chunk.event_offset + got.timestep, want.timestep)
-        << "chunk event " << i;
-    ASSERT_EQ(got.execution, want.execution) << "chunk event " << i;
+    const AccessEvent want = reference.events[static_cast<std::size_t>(i)];
+    ASSERT_EQ(got.container, want.container) << "event " << i;
+    ASSERT_EQ(got.flat, want.flat) << "event " << i;
+    ASSERT_EQ(got.is_write, want.is_write) << "event " << i;
+    ASSERT_EQ(got.timestep, want.timestep) << "event " << i;
+    ASSERT_EQ(got.execution, want.execution) << "event " << i;
   }
 }
 
