@@ -173,9 +173,12 @@ class MetricPipeline {
   /// metric pass — resuming it in place for append-only steps.
   /// `program_version` is the caller's fingerprint of the Sdfg structure
   /// (the session layer passes its program hash); a mismatch, an options
-  /// change, or an unparallelizable plan falls back to the cold path.
-  /// Interleaving run() calls invalidates the checkpoint. Outcome
-  /// reporting via `outcome` is optional.
+  /// change, or a delta that dirties every chunk falls back to the cold
+  /// path, which plans once, generates that plan and keeps it as the
+  /// next checkpoint's plan. A binding the planner refuses throws before
+  /// any event is generated (plan_trace). Interleaving run() calls
+  /// invalidates the checkpoint. Outcome reporting via `outcome` is
+  /// optional.
   PipelineResult run_delta(const Sdfg& sdfg, std::uint64_t program_version,
                            const SymbolMap& symbols,
                            const SimulationOptions& options = {},

@@ -325,15 +325,15 @@ struct SimulationOptions {
 
 /// Simulates every state of the SDFG under the given parameter binding
 /// and returns the exact access trace (§V-C "iteration space simulation").
-/// Generation runs in parallel on the dmv::par pool: a planning pass
-/// (sim/trace_plan.hpp) splits top-level maps into chunks with exact
-/// precomputed event/execution offsets, and each chunk writes its
-/// disjoint EventList slice. Innermost loops of pure-tasklet map scopes
-/// advance eight iteration points per step (symbolic/batched.hpp).
-/// Output is bit-identical to serial at any thread count; generation is
-/// serial at num_threads()==1, inside a pool task, or when the plan finds
-/// nothing worth splitting (see docs/simulation.md). par::ThreadScope(1)
-/// forces the serial path.
+/// Generation is plan-first: plan_trace (sim/trace_plan.hpp) computes
+/// every chunk's exact event/execution offsets, the event columns are
+/// sized to the plan's total once, and each chunk writes its disjoint
+/// slice — over the dmv::par pool, or one after another at
+/// num_threads()==1 and inside a pool task. Innermost loops of
+/// pure-tasklet map scopes advance eight iteration points per step
+/// (symbolic/batched.hpp). Output is bit-identical at any thread count
+/// (see docs/simulation.md). A binding the planner refuses throws
+/// before any event is generated.
 AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options = {});
 
@@ -341,8 +341,7 @@ AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
 /// are cleared and rewritten while the event columns KEEP their
 /// capacity. This is the sweep-arena entry point — one trace buffer
 /// serves every slider position instead of reallocating per binding.
-/// On the serial path a throwing simulation leaves the events emitted
-/// before the fault in `trace.events`.
+/// After a throw the trace's contents are unspecified.
 void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
                    const SimulationOptions& options, AccessTrace& trace);
 

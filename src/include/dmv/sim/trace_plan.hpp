@@ -1,31 +1,29 @@
 #pragma once
 
-// Deterministic chunk planning for parallel trace generation.
+// Deterministic chunk planning: the one definition of a trace.
 //
 // The simulator's event stream is fully determined by the SDFG and the
 // symbol binding: every top-level map's iteration counts and every
 // tasklet/copy's per-iteration memlet event count are exactly computable
-// BEFORE generation. plan_trace() exploits that to split the trace into
-// contiguous chunks — one or more per top-level map (sliced along the
-// outermost dimension), one per top-level tasklet or copy — each with a
-// precomputed (event_offset, event_count, execution_offset,
+// BEFORE generation. plan_trace() computes them and splits the trace
+// into contiguous chunks — one or more per top-level map (sliced along
+// the outermost dimension), one per top-level tasklet or copy — each
+// with a precomputed (event_offset, event_count, execution_offset,
 // execution_count). An event's timestep is its global index, so
 // event_offset doubles as the chunk's timestep base.
 //
-// With the plan in hand, generation parallelizes without stitching or
-// locks: the EventList is sized to total_events once, and each chunk's
-// Simulator clone writes its disjoint column slice, so the output is
-// bit-identical to serial at any thread count. See docs/simulation.md
-// for the full safety argument.
+// Generation always runs from a plan: the EventList is sized to
+// total_events once, and each chunk writes its disjoint column slice —
+// one after another or over the pool — so the output is bit-identical
+// at any thread count. See docs/simulation.md for the safety argument.
 //
 // Planning is exact, not estimated: an analytic fast path multiplies
 // iteration-count products by per-iteration event counts when extents
 // are invariant in the map's own parameters, and falls back to
-// enumerating dependent (triangular/tiled) dimensions. Anything the
-// planner cannot model exactly — non-positive steps, unbound symbols,
-// copy size mismatches — marks the plan non-parallelizable and the
-// caller runs the serial engine, which surfaces the identical error
-// behavior.
+// enumerating dependent (triangular/tiled) dimensions. A binding the
+// planner cannot model raises, before any event is generated, the
+// exception class generation would raise; a scope that runs zero times
+// is never evaluated, so it never raises.
 
 #include <cstdint>
 #include <set>
@@ -55,9 +53,6 @@ struct TraceChunk {
 };
 
 struct TracePlan {
-  /// False when any part of the program could not be modeled exactly;
-  /// the caller must fall back to serial generation.
-  bool parallelizable = false;
   std::int64_t total_events = 0;
   std::int64_t total_executions = 0;
   /// Chunks in serial emission order; offsets are contiguous.
@@ -67,8 +62,12 @@ struct TracePlan {
 /// Computes the exact chunk decomposition of simulate()'s event stream
 /// under `symbols`. Top-level maps are split along their outermost
 /// dimension into at most `max_chunks_per_map` pieces balanced by event
-/// count (0 = derive from dmv::par::num_threads()). Never throws: any
-/// modeling failure yields parallelizable == false.
+/// count (0 = derive from dmv::par::num_threads()). Throws what
+/// generation would for a binding it cannot run under —
+/// symbolic::UnboundSymbolError, std::domain_error (division by zero),
+/// std::invalid_argument (a non-positive map or subset step),
+/// std::logic_error (copy subset size mismatch) — and
+/// std::overflow_error when an event or execution count exceeds int64.
 TracePlan plan_trace(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options,
                      int max_chunks_per_map = 0);
@@ -84,8 +83,8 @@ void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
 /// binding and options, or place_containers()' output). `out` must be
 /// sized to at least event_offset + event_count; the events are written
 /// AT their [event_offset, event_offset + event_count) slice indices, so
-/// concurrent calls on disjoint chunks of one list are safe — the
-/// parallel writer's and the delta engine's dirty-chunk path. Throws
+/// concurrent calls on disjoint chunks of one list are safe. A chunk
+/// that faults leaves the events before the fault in its slice. Throws
 /// std::logic_error if the chunk's generated event or execution count
 /// disagrees with the plan.
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,

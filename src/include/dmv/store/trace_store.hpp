@@ -76,7 +76,7 @@ struct ChunkInfo {
 };
 
 /// Packs a trace into the in-memory image of a store file. When `plan`
-/// is supplied (parallelizable, matching event count), chunk boundaries
+/// is supplied (with a matching event count), chunk boundaries
 /// follow the plan's chunks so the directory carries trace_plan's exact
 /// event/execution offsets; oversized plan chunks are split. Encoding
 /// parallelizes over `dmv::par`; the output bytes are identical at any

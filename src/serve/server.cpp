@@ -289,7 +289,8 @@ struct Server::Impl {
 
   // A binding the program cannot run under — an unbound symbol, a
   // non-positive extent or step, an access past a fixed capacity, a
-  // division by zero — is the client's fault: bad_request, not internal.
+  // division by zero, a trace whose event count overflows int64 — is
+  // the client's fault: bad_request, not internal.
   static std::shared_ptr<const sim::PipelineResult> evaluate_step(
       session::Session& session) {
     try {
@@ -301,6 +302,8 @@ struct Server::Impl {
     } catch (const std::out_of_range& error) {
       throw RequestError("bad_request", error.what());
     } catch (const std::domain_error& error) {
+      throw RequestError("bad_request", error.what());
+    } catch (const std::overflow_error& error) {
       throw RequestError("bad_request", error.what());
     }
   }

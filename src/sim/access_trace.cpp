@@ -1,11 +1,14 @@
 #include <algorithm>
 #include <array>
+#include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "dmv/par/par.hpp"
 #include "dmv/sim/sim.hpp"
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/symbolic/batched.hpp"
+#include "generate.hpp"
 
 namespace dmv::sim {
 
@@ -28,168 +31,165 @@ using symbolic::SymbolTable;
 constexpr int kLaneWidth = 8;
 static_assert(kLaneWidth <= symbolic::kMaxLaneWidth);
 
-// Container placement shared by the serial simulator and the parallel
-// drivers (which place once up front and hand the layouts to every
-// chunk). Iterates sdfg.arrays() — an ordered map — so the container
-// index assignment is deterministic.
-void place_containers_into(const Sdfg& sdfg, const SymbolMap& symbols,
-                           const SimulationOptions& options,
-                           AccessTrace& trace,
-                           std::map<std::string, int>* ids) {
-  layout::AddressSpace space(options.placement_alignment);
-  for (const auto& [name, descriptor] : sdfg.arrays()) {
-    ConcreteLayout layout = ConcreteLayout::from(descriptor, symbols);
-    space.place(layout);
-    if (ids) ids->emplace(name, static_cast<int>(trace.layouts.size()));
-    trace.containers.push_back(name);
-    trace.layouts.push_back(std::move(layout));
-  }
-}
+// -- Compiled state ----------------------------------------------------
+//
+// All map bounds and memlet subsets of a state are flattened ONCE to
+// CompiledExpr over a single slot table; iteration then runs against a
+// flat int64 environment with no SymbolMap copies and no per-element
+// allocation. The test-side reference tracer (tests/reference_trace.hpp)
+// walks the same order over SymbolMaps and must match bit for bit.
 
-class Simulator {
+struct CompiledRange {
+  CompiledExpr begin, end, step;
+};
+struct CompiledSubset {
+  std::vector<CompiledRange> ranges;
+  int container = -1;
+};
+struct CompiledEdge {
+  CompiledSubset subset;
+  /// Copy edges (access node to access node) only: the destination
+  /// side — other_subset when given, else subset — on the destination
+  /// container.
+  CompiledSubset destination;
+  /// Tasklet writes under wcr_reads: each element is read, then written.
+  bool wcr_read = false;
+};
+struct CompiledMap {
+  std::vector<int> param_slots;
+  std::vector<CompiledRange> bounds;
+};
+
+// -- Lane-batched innermost loops --------------------------------------
+//
+// For a map whose scope is pure tasklets, the innermost loop advances
+// kLaneWidth iteration points per step: every subset-bound expression
+// that reads the innermost parameter is evaluated for all W lanes in
+// one batched pass (symbolic/batched.hpp), expressions invariant in that
+// parameter are evaluated once per loop entry, and the lanes are then
+// drained in serial order through the ordinary emit path — so the event
+// stream is bit-identical to the scalar loop. Expressions are
+// deduplicated by interned node, which collapses e.g. every "k" bound of
+// a stencil's memlets into one batched evaluation. Batches where any
+// active lane would throw are replayed through the scalar engine so the
+// exception (and every event before it) lands exactly where serial
+// order puts it.
+
+/// Where a subset bound's value lives during the drain: lane-varying
+/// results sit in the worker's lane outputs (index * W + lane),
+/// invariants in its invariant values (index).
+struct BatchedRef {
+  std::int32_t index = 0;
+  bool varying = false;
+};
+struct BatchedRangeRef {
+  BatchedRef begin, end, step;
+};
+/// One memlet of one tasklet, in emission order.
+struct BatchedRun {
+  int container = -1;
+  bool is_write = false;
+  bool wcr_read = false;
+  std::vector<BatchedRangeRef> ranges;
+};
+struct BatchedTasklet {
+  std::vector<BatchedRun> runs;
+};
+struct BatchedScope {
+  bool enabled = false;
+  int lane_slot = -1;  ///< Innermost map parameter's slot.
+  std::vector<BatchedCompiledExpr> varying;
+  std::vector<CompiledExpr> invariant;
+  std::vector<BatchedTasklet> tasklets;
+};
+
+/// One state compiled under one binding: schedule, slot table, compiled
+/// maps and edges, batched scopes, and the binding's slot values. Built
+/// once per generation call and only read by the chunk workers, which
+/// own nothing but their environment and scratch.
+class CompiledState {
  public:
-  Simulator(const Sdfg& sdfg, const SymbolMap& symbols,
-            const SimulationOptions& options)
-      : sdfg_(sdfg), symbols_(symbols), options_(options) {}
-
-  void run_into(AccessTrace& trace) {
-    // Reuse the caller's buffers: clear() keeps the event columns'
-    // capacity, so a sweep pays the event allocation once.
-    trace.containers.clear();
-    trace.layouts.clear();
-    trace.events.clear();
-    trace.executions = 0;
-    trace_ = &trace;
-    place_containers_into(sdfg_, symbols_, options_, trace, &container_ids_);
-    layouts_ = &trace.layouts;
-    for (const State& state : sdfg_.states()) {
-      // Topo order + adjacency built once per state (in_edges/out_edges
-      // scan all edges, which would be paid per tasklet per iteration).
-      schedule_ = ir::StateSchedule(state);
-      compile_state(state);
-      execute_scope(state, ir::kNoNode);
+  CompiledState(const State& state,
+                const std::map<std::string, int>& container_ids,
+                const SymbolMap& symbols, const SimulationOptions& options)
+      : state(state), schedule(state) {
+    maps.assign(state.num_nodes(), {});
+    edges.assign(state.edges().size(), {});
+    for (const Node& node : state.nodes()) {
+      if (node.kind != NodeKind::MapEntry) continue;
+      CompiledMap& map = maps[node.id];
+      map.param_slots.reserve(node.map.params.size());
+      for (const std::string& param : node.map.params) {
+        map.param_slots.push_back(table.intern(param));
+      }
+      map.bounds.reserve(node.map.ranges.size());
+      for (const ir::Range& range : node.map.ranges) {
+        map.bounds.push_back(compile_range(range));
+      }
     }
-    trace.executions = execution_;
+    for (std::size_t e = 0; e < state.edges().size(); ++e) {
+      const Edge& edge = state.edges()[e];
+      if (edge.memlet.is_empty()) continue;
+      CompiledEdge& compiled = edges[e];
+      compiled.subset = compile_subset(edge.memlet.subset,
+                                       container_ids.at(edge.memlet.data));
+      compiled.wcr_read =
+          edge.memlet.wcr != ir::Wcr::None && options.wcr_reads;
+      const Node& src = state.node(edge.src);
+      const Node& dst = state.node(edge.dst);
+      if (src.kind == NodeKind::Access && dst.kind == NodeKind::Access) {
+        const int dst_container = container_ids.at(dst.data);
+        compiled.destination =
+            edge.memlet.other_subset.ranges.empty()
+                ? compile_subset(edge.memlet.subset, dst_container)
+                : compile_subset(edge.memlet.other_subset, dst_container);
+      }
+    }
+    batched.assign(state.num_nodes(), {});
+    for (const Node& node : state.nodes()) {
+      if (node.kind != NodeKind::MapEntry) continue;
+      build_batched_scope(node);
+    }
+    table.bind(symbols, values, bound);
   }
 
-  /// Generates exactly one plan chunk, starting mid-iteration-space at
-  /// the plan's absolute event position and execution stamp. `header`
-  /// supplies the placed layouts; events are written at their slice
-  /// indices of the pre-sized `out`.
-  void run_chunk(const AccessTrace& header, const TraceChunk& chunk,
-                 EventList& out) {
-    layouts_ = &header.layouts;
-    container_ids_.clear();
-    for (std::size_t i = 0; i < header.containers.size(); ++i) {
-      container_ids_.emplace(header.containers[i], static_cast<int>(i));
-    }
-    const State& state =
-        sdfg_.states().at(static_cast<std::size_t>(chunk.state));
-    schedule_ = ir::StateSchedule(state);
-    position_ = chunk.event_offset;
-    execution_ = chunk.execution_offset;
-    out_ = &out;
-    chunk_limit_ = chunk.event_offset + chunk.event_count;
-    const Node& node = state.node(chunk.node);
-    compile_state(state);
-    switch (node.kind) {
-      case NodeKind::MapEntry:
-        execute_map(state, node, chunk.outer_begin, chunk.outer_count);
-        break;
-      case NodeKind::Tasklet:
-        execute_tasklet(state, node);
-        break;
-      case NodeKind::Access:
-        execute_copies(state, node);
-        break;
-      case NodeKind::MapExit:
-        break;
-    }
-    if (position_ != chunk.event_offset + chunk.event_count ||
-        execution_ != chunk.execution_offset + chunk.execution_count) {
-      throw std::logic_error(
-          "simulate: trace plan chunk count mismatch (planner bug)");
-    }
-  }
+  const State& state;
+  ir::StateSchedule schedule;
+  SymbolTable table;
+  std::vector<CompiledMap> maps;      ///< Indexed by node id.
+  std::vector<CompiledEdge> edges;    ///< Indexed by edge index.
+  /// Indexed by node id; disabled entries run the scalar loop.
+  std::vector<BatchedScope> batched;
+  /// The binding in slot form: every worker's starting environment.
+  std::vector<std::int64_t> values;
+  std::vector<char> bound;
 
  private:
-  // -- Execution engine ----------------------------------------------
-  //
-  // All map bounds and memlet subsets of a state are flattened ONCE to
-  // CompiledExpr over a single slot table; iteration then runs against a
-  // flat int64 environment with no SymbolMap copies and no per-element
-  // allocation. The test-side reference tracer (tests/reference_trace.hpp)
-  // walks the same order over SymbolMaps and must match bit for bit.
+  CompiledRange compile_range(const ir::Range& range) {
+    return {CompiledExpr::compile(range.begin, table),
+            CompiledExpr::compile(range.end, table),
+            CompiledExpr::compile(range.step, table)};
+  }
 
-  struct CompiledRange {
-    CompiledExpr begin, end, step;
-  };
-  struct CompiledSubset {
-    std::vector<CompiledRange> ranges;
-    int container = -1;
-  };
-  struct CompiledEdge {
-    CompiledSubset subset;
-    CompiledSubset other;  ///< other_subset; used by copy edges.
-    bool has_other = false;
-  };
-  struct CompiledMap {
-    std::vector<int> param_slots;
-    std::vector<CompiledRange> bounds;
-  };
-
-  // -- Lane-batched innermost loops ----------------------------------
-  //
-  // For a map whose scope is pure tasklets, the innermost loop advances
-  // kLaneWidth iteration points per step: every subset-bound
-  // expression that reads the innermost parameter is evaluated for all
-  // W lanes in one batched pass (symbolic/batched.hpp), expressions
-  // invariant in that parameter are evaluated once per loop entry, and
-  // the lanes are then drained in serial order through the ordinary
-  // emit path — so the event stream is bit-identical to the scalar
-  // loop. Expressions are deduplicated by interned node, which collapses
-  // e.g. every "k" bound of a stencil's memlets into one batched
-  // evaluation. Batches where any active lane would throw are replayed
-  // through the scalar engine so the exception (and every event before
-  // it) lands exactly where serial order puts it.
-
-  /// Where a subset bound's value lives during the drain: lane-varying
-  /// results sit in `lane_out_` (index * W + lane), invariants in
-  /// `invariant_vals_` (index).
-  struct BatchedRef {
-    std::int32_t index = 0;
-    bool varying = false;
-  };
-  struct BatchedRangeRef {
-    BatchedRef begin, end, step;
-  };
-  /// One memlet of one tasklet, in emission order.
-  struct BatchedRun {
-    int container = -1;
-    bool is_write = false;
-    bool wcr_read = false;
-    std::vector<BatchedRangeRef> ranges;
-  };
-  struct BatchedTasklet {
-    std::vector<BatchedRun> runs;
-  };
-  struct BatchedScope {
-    bool enabled = false;
-    int lane_slot = -1;  ///< Innermost map parameter's slot.
-    std::vector<BatchedCompiledExpr> varying;
-    std::vector<CompiledExpr> invariant;
-    std::vector<BatchedTasklet> tasklets;
-  };
+  CompiledSubset compile_subset(const Subset& subset, int container) {
+    CompiledSubset compiled;
+    compiled.ranges.reserve(subset.ranges.size());
+    for (const ir::Range& range : subset.ranges) {
+      compiled.ranges.push_back(compile_range(range));
+    }
+    compiled.container = container;
+    return compiled;
+  }
 
   /// Analyzes `node`'s scope for lane batching; leaves the scope
   /// disabled (scalar fallback) on any construct the drain cannot
   /// reproduce exactly: nested maps, access-node copies, or an empty
   /// iteration signature.
-  void build_batched_scope(const State& state, const Node& node) {
-    const CompiledMap& map = compiled_maps_[node.id];
+  void build_batched_scope(const Node& node) {
+    const CompiledMap& map = maps[node.id];
     if (map.bounds.empty()) return;
-    BatchedScope& scope = batched_scopes_[node.id];
-    for (NodeId id : schedule_.order) {
+    BatchedScope& scope = batched[node.id];
+    for (NodeId id : schedule.order) {
       const Node& child = state.node(id);
       if (child.scope_parent != node.id) continue;
       if (child.kind == NodeKind::MapExit) continue;
@@ -203,7 +203,7 @@ class Simulator {
       const symbolic::ExprNode* key = &expr.node();
       auto it = seen.find(key);
       if (it != seen.end()) return it->second;
-      CompiledExpr compiled = CompiledExpr::compile(expr, table_);
+      CompiledExpr compiled = CompiledExpr::compile(expr, table);
       BatchedRef ref;
       if (compiled.reads_any({lane_slot})) {
         ref.varying = true;
@@ -219,11 +219,12 @@ class Simulator {
     };
     auto add_run = [&](BatchedTasklet& tasklet, const Edge* edge,
                        bool is_write) {
+      const CompiledEdge& compiled =
+          edges[static_cast<std::size_t>(edge - state.edges().data())];
       BatchedRun run;
-      run.container = container_ids_.at(edge->memlet.data);
+      run.container = compiled.subset.container;
       run.is_write = is_write;
-      run.wcr_read = is_write && edge->memlet.wcr != ir::Wcr::None &&
-                     options_.wcr_reads;
+      run.wcr_read = is_write && compiled.wcr_read;
       run.ranges.reserve(edge->memlet.subset.ranges.size());
       for (const ir::Range& range : edge->memlet.subset.ranges) {
         run.ranges.push_back(
@@ -234,18 +235,18 @@ class Simulator {
     // Tasklets in schedule order, each memlet in execute_tasklet
     // order (in-edges then out-edges, empty memlets skipped) — the drain
     // replays this list verbatim.
-    for (NodeId id : schedule_.order) {
+    for (NodeId id : schedule.order) {
       const Node& child = state.node(id);
       if (child.scope_parent != node.id ||
           child.kind != NodeKind::Tasklet) {
         continue;
       }
       BatchedTasklet tasklet;
-      for (const Edge* edge : schedule_.in_adjacency[id]) {
+      for (const Edge* edge : schedule.in_adjacency[id]) {
         if (edge->memlet.is_empty()) continue;
         add_run(tasklet, edge, /*is_write=*/false);
       }
-      for (const Edge* edge : schedule_.out_adjacency[id]) {
+      for (const Edge* edge : schedule.out_adjacency[id]) {
         if (edge->memlet.is_empty()) continue;
         add_run(tasklet, edge, /*is_write=*/true);
       }
@@ -254,85 +255,64 @@ class Simulator {
     scope.lane_slot = lane_slot;
     scope.enabled = true;
   }
+};
 
-  CompiledRange compile_range(const ir::Range& range) {
-    CompiledRange compiled;
-    compiled.begin = CompiledExpr::compile(range.begin, table_);
-    compiled.end = CompiledExpr::compile(range.end, table_);
-    compiled.step = CompiledExpr::compile(range.step, table_);
-    return compiled;
+/// Generates plan chunks of one compiled state, each starting
+/// mid-iteration-space at the plan's absolute event position and
+/// execution stamp, into the slice indices of a pre-sized list.
+class ChunkWriter {
+ public:
+  ChunkWriter(const CompiledState& compiled,
+              const std::vector<ConcreteLayout>& layouts, EventList& out)
+      : compiled_(compiled), state_(compiled.state), layouts_(layouts),
+        out_(out) {}
+
+  void run(const TraceChunk& chunk) {
+    env_values_ = compiled_.values;
+    env_bound_ = compiled_.bound;
+    position_ = chunk.event_offset;
+    execution_ = chunk.execution_offset;
+    chunk_limit_ = chunk.event_offset + chunk.event_count;
+    const Node& node = state_.node(chunk.node);
+    switch (node.kind) {
+      case NodeKind::MapEntry:
+        execute_map(node, chunk.outer_begin, chunk.outer_count);
+        break;
+      case NodeKind::Tasklet:
+        execute_tasklet(node);
+        break;
+      case NodeKind::Access:
+        execute_copies(node);
+        break;
+      case NodeKind::MapExit:
+        break;
+    }
+    if (position_ != chunk.event_offset + chunk.event_count ||
+        execution_ != chunk.execution_offset + chunk.execution_count) {
+      throw std::logic_error(
+          "simulate: trace plan chunk count mismatch (planner bug)");
+    }
   }
 
-  CompiledSubset compile_subset(const Subset& subset,
-                                const std::string& data) {
-    CompiledSubset compiled;
-    compiled.ranges.reserve(subset.ranges.size());
-    for (const ir::Range& range : subset.ranges) {
-      compiled.ranges.push_back(compile_range(range));
-    }
-    compiled.container = container_ids_.at(data);
-    return compiled;
-  }
-
-  void compile_state(const State& state) {
-    table_ = SymbolTable();
-    compiled_maps_.assign(state.num_nodes(), {});
-    compiled_edges_.assign(state.edges().size(), {});
-    for (const Node& node : state.nodes()) {
-      if (node.kind != NodeKind::MapEntry) continue;
-      CompiledMap& map = compiled_maps_[node.id];
-      map.param_slots.reserve(node.map.params.size());
-      for (const std::string& param : node.map.params) {
-        map.param_slots.push_back(table_.intern(param));
-      }
-      map.bounds.reserve(node.map.ranges.size());
-      for (const ir::Range& range : node.map.ranges) {
-        map.bounds.push_back(compile_range(range));
-      }
-    }
-    for (std::size_t e = 0; e < state.edges().size(); ++e) {
-      const Edge& edge = state.edges()[e];
-      if (edge.memlet.is_empty()) continue;
-      CompiledEdge& compiled = compiled_edges_[e];
-      compiled.subset = compile_subset(edge.memlet.subset, edge.memlet.data);
-      const Node& dst = state.node(edge.dst);
-      if (!edge.memlet.other_subset.ranges.empty() &&
-          dst.kind == NodeKind::Access) {
-        compiled.other =
-            compile_subset(edge.memlet.other_subset, dst.data);
-        compiled.has_other = true;
-      }
-    }
-    batched_scopes_.assign(state.num_nodes(), {});
-    for (const Node& node : state.nodes()) {
-      if (node.kind != NodeKind::MapEntry) continue;
-      build_batched_scope(state, node);
-    }
-    table_.bind(symbols_, env_values_, env_bound_);
-  }
-
-  std::size_t edge_index(const State& state, const Edge* edge) const {
-    return static_cast<std::size_t>(edge - state.edges().data());
-  }
-
+ private:
   std::int64_t eval(const CompiledExpr& expr) {
     return expr.evaluate(env_values_.data(), env_bound_.data(),
-                         &table_.names());
+                         &compiled_.table.names());
   }
 
-  void execute_scope(const State& state, NodeId scope) {
-    for (NodeId id : schedule_.order) {
-      const Node& node = state.node(id);
+  void execute_scope(NodeId scope) {
+    for (NodeId id : compiled_.schedule.order) {
+      const Node& node = state_.node(id);
       if (node.scope_parent != scope) continue;
       switch (node.kind) {
         case NodeKind::MapEntry:
-          execute_map(state, node);
+          execute_map(node);
           break;
         case NodeKind::Tasklet:
-          execute_tasklet(state, node);
+          execute_tasklet(node);
           break;
         case NodeKind::Access:
-          execute_copies(state, node);
+          execute_copies(node);
           break;
         case NodeKind::MapExit:
           break;  // Writes are emitted at the producing tasklet.
@@ -340,15 +320,14 @@ class Simulator {
     }
   }
 
-  /// `outer_count` < 0 runs the full map; otherwise only the outermost
-  /// dimension's ordinals [outer_begin, outer_begin + outer_count) run —
-  /// the chunked writers' mid-iteration-space entry. The full run over
-  /// ordinal slices partitioning [0, trips) visits the identical point
-  /// sequence, which is what makes chunked output bit-identical.
-  void execute_map(const State& state, const Node& node,
-                   std::int64_t outer_begin = 0,
+  /// Runs one entry into `node`'s map. A chunk passes the outermost
+  /// dimension's ordinal slice [outer_begin, outer_begin + outer_count);
+  /// `outer_count` < 0 runs every ordinal. Slices partitioning
+  /// [0, trips) visit the identical point sequence as the whole map,
+  /// which is what makes chunked output bit-identical.
+  void execute_map(const Node& node, std::int64_t outer_begin = 0,
                    std::int64_t outer_count = -1) {
-    const CompiledMap& map = compiled_maps_[node.id];
+    const CompiledMap& map = compiled_.maps[node.id];
     // Save the parameter slots' outer bindings: a nested map may reuse a
     // parameter name, and the outer value must survive the inner scope
     // (a SymbolMap walk gets this from its per-scope env copies).
@@ -357,48 +336,20 @@ class Simulator {
     for (int slot : map.param_slots) {
       saved.emplace_back(env_values_[slot], env_bound_[slot]);
     }
-    if (outer_count < 0) {
-      iterate_map(state, node, map, 0);
-    } else if (map.bounds.empty()) {
-      // Zero-dimensional map: the planner models it as one outer ordinal.
-      if (outer_begin == 0 && outer_count > 0) {
-        execute_scope(state, node.id);
-      }
-    } else {
-      for (std::size_t q = 0; q < map.param_slots.size(); ++q) {
-        env_bound_[map.param_slots[q]] = 0;
-      }
-      const std::int64_t begin = eval(map.bounds[0].begin);
-      const std::int64_t step = eval(map.bounds[0].step);
-      if (step <= 0) {
-        throw std::invalid_argument("IterationSpace: non-positive step");
-      }
-      const int slot = map.param_slots[0];
-      const BatchedScope& scope = batched_scopes_[node.id];
-      if (map.bounds.size() == 1 && scope.enabled) {
-        // A 1-D chunk's outer-ordinal slice IS an innermost slice.
-        execute_innermost_batched(state, node, scope,
-                                  begin + outer_begin * step, outer_count,
-                                  step);
-      } else {
-        for (std::int64_t o = outer_begin; o < outer_begin + outer_count;
-             ++o) {
-          env_values_[slot] = begin + o * step;
-          env_bound_[slot] = 1;
-          iterate_map(state, node, map, 1);
-        }
-      }
-    }
+    iterate_map(node, map, 0, outer_begin, outer_count);
     for (std::size_t p = 0; p < map.param_slots.size(); ++p) {
       env_values_[map.param_slots[p]] = saved[p].first;
       env_bound_[map.param_slots[p]] = saved[p].second;
     }
   }
 
-  void iterate_map(const State& state, const Node& node,
-                   const CompiledMap& map, std::size_t dim) {
+  /// Runs dimensions [dim, end) over the ordinals [first, first + count)
+  /// of dimension `dim` (count < 0: all of them). A zero-dimensional
+  /// map runs its scope once.
+  void iterate_map(const Node& node, const CompiledMap& map, std::size_t dim,
+                   std::int64_t first = 0, std::int64_t count = -1) {
     if (dim == map.bounds.size()) {
-      execute_scope(state, node.id);
+      execute_scope(node.id);
       return;
     }
     // This and inner parameters are out of scope while evaluating this
@@ -413,31 +364,30 @@ class Simulator {
     if (step <= 0) {
       throw std::invalid_argument("IterationSpace: non-positive step");
     }
-    const int slot = map.param_slots[dim];
-    const BatchedScope& scope = batched_scopes_[node.id];
+    if (count < 0) count = end >= begin ? (end - begin) / step + 1 : 0;
+    const std::int64_t start = begin + first * step;
+    const BatchedScope& scope = compiled_.batched[node.id];
     if (dim + 1 == map.bounds.size() && scope.enabled) {
-      const std::int64_t trips =
-          end >= begin ? (end - begin) / step + 1 : 0;
-      execute_innermost_batched(state, node, scope, begin, trips, step);
+      execute_innermost_batched(node, scope, start, count, step);
       return;
     }
-    for (std::int64_t v = begin; v <= end; v += step) {
-      env_values_[slot] = v;
+    const int slot = map.param_slots[dim];
+    for (std::int64_t o = 0; o < count; ++o) {
+      env_values_[slot] = start + o * step;
       env_bound_[slot] = 1;
-      iterate_map(state, node, map, dim + 1);
+      iterate_map(node, map, dim + 1);
     }
   }
 
   /// The scalar innermost loop over `count` points starting at `first`:
   /// the replay target when a batch would throw, and the exact loop the
   /// batched path must match byte for byte.
-  void run_innermost_scalar(const State& state, const Node& node, int slot,
-                            std::int64_t first, std::int64_t count,
-                            std::int64_t step) {
+  void run_innermost_scalar(const Node& node, int slot, std::int64_t first,
+                            std::int64_t count, std::int64_t step) {
     for (std::int64_t i = 0; i < count; ++i) {
       env_values_[slot] = first + i * step;
       env_bound_[slot] = 1;
-      execute_scope(state, node.id);
+      execute_scope(node.id);
     }
   }
 
@@ -450,8 +400,7 @@ class Simulator {
   /// drain lane by lane through emit(), preserving serial order. The
   /// tail batch pads inactive lanes with the last active point's value —
   /// never out of the loop's domain — and ignores their faults.
-  void execute_innermost_batched(const State& state, const Node& node,
-                                 const BatchedScope& scope,
+  void execute_innermost_batched(const Node& node, const BatchedScope& scope,
                                  std::int64_t begin, std::int64_t count,
                                  std::int64_t step) {
     if (count <= 0) return;
@@ -465,7 +414,7 @@ class Simulator {
     } catch (...) {
       // An invariant bound throws on every point; the scalar loop
       // throws it at the first point, after zero events.
-      run_innermost_scalar(state, node, slot, begin, count, step);
+      run_innermost_scalar(node, slot, begin, count, step);
       return;
     }
     lane_env_.reset(env_values_, env_bound_, W);
@@ -492,8 +441,7 @@ class Simulator {
         // Some active lane would throw: replay the batch scalar so the
         // exception fires at the exact point — after the exact events —
         // serial order produces.
-        run_innermost_scalar(state, node, slot, begin + base * step, active,
-                             step);
+        run_innermost_scalar(node, slot, begin + base * step, active, step);
         continue;
       }
       for (int l = 0; l < active; ++l) {
@@ -586,11 +534,14 @@ class Simulator {
     }
   }
 
-  void emit_subset(const State& state, const Edge* edge, bool is_write) {
-    const CompiledEdge& compiled =
-        compiled_edges_[edge_index(state, edge)];
-    const bool wcr_read = is_write && edge->memlet.wcr != ir::Wcr::None &&
-                          options_.wcr_reads;
+  const CompiledEdge& compiled_edge(const Edge* edge) const {
+    return compiled_.edges[static_cast<std::size_t>(
+        edge - state_.edges().data())];
+  }
+
+  void emit_subset(const Edge* edge, bool is_write) {
+    const CompiledEdge& compiled = compiled_edge(edge);
+    const bool wcr_read = is_write && compiled.wcr_read;
     const int container = compiled.subset.container;
     enumerate_subset(compiled.subset, [&](const layout::Index& element) {
       if (wcr_read) emit(container, element, /*is_write=*/false);
@@ -598,113 +549,85 @@ class Simulator {
     });
   }
 
-  void execute_tasklet(const State& state, const Node& node) {
-    for (const Edge* edge : schedule_.in_adjacency[node.id]) {
+  void execute_tasklet(const Node& node) {
+    for (const Edge* edge : compiled_.schedule.in_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      emit_subset(state, edge, /*is_write=*/false);
+      emit_subset(edge, /*is_write=*/false);
     }
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
+    for (const Edge* edge : compiled_.schedule.out_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      emit_subset(state, edge, /*is_write=*/true);
+      emit_subset(edge, /*is_write=*/true);
     }
     ++execution_;
   }
 
-  void execute_copies(const State& state, const Node& node) {
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
+  void execute_copies(const Node& node) {
+    for (const Edge* edge : compiled_.schedule.out_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
-      const Node& dst = state.node(edge->dst);
-      if (dst.kind != NodeKind::Access) continue;
-      const CompiledEdge& compiled =
-          compiled_edges_[edge_index(state, edge)];
-      const CompiledSubset& src_subset = compiled.subset;
-      const CompiledSubset& dst_subset =
-          compiled.has_other ? compiled.other : compiled.subset;
-      const int dst_container = compiled.has_other
-                                    ? compiled.other.container
-                                    : container_ids_.at(dst.data);
+      if (state_.node(edge->dst).kind != NodeKind::Access) continue;
+      const CompiledEdge& compiled = compiled_edge(edge);
       // Enumerate both sides (copies are rare and top-level; the
       // simplicity of materializing them beats a dual odometer).
       std::vector<layout::Index> sources;
-      enumerate_subset(src_subset, [&](const layout::Index& element) {
+      enumerate_subset(compiled.subset, [&](const layout::Index& element) {
         sources.push_back(element);
       });
       std::vector<layout::Index> destinations;
-      enumerate_subset(dst_subset, [&](const layout::Index& element) {
-        destinations.push_back(element);
-      });
+      enumerate_subset(compiled.destination,
+                       [&](const layout::Index& element) {
+                         destinations.push_back(element);
+                       });
       if (sources.size() != destinations.size()) {
         throw std::logic_error("simulate: copy subset size mismatch on '" +
                                edge->memlet.data + "'");
       }
       for (std::size_t i = 0; i < sources.size(); ++i) {
-        emit(src_subset.container, sources[i], /*is_write=*/false);
-        emit(dst_container, destinations[i], /*is_write=*/true);
+        emit(compiled.subset.container, sources[i], /*is_write=*/false);
+        emit(compiled.destination.container, destinations[i],
+             /*is_write=*/true);
         ++execution_;
       }
     }
   }
 
-  // -- Shared infrastructure -----------------------------------------
-
   void emit(int container, const layout::Index& indices, bool is_write) {
-    const ConcreteLayout& layout = (*layouts_)[container];
+    const ConcreteLayout& layout = layouts_[container];
     if (!layout.in_bounds(indices)) {
       std::string text;
       for (std::int64_t i : indices) text += std::to_string(i) + ",";
       throw std::out_of_range("simulate: access out of bounds on '" +
                               layout.name + "' at [" + text + "]");
     }
+    // The plan fixed this chunk's event range up front, so emitting past
+    // it means the planner under-counted — fail loudly instead of
+    // corrupting a neighboring slice.
+    if (position_ >= chunk_limit_) {
+      throw std::logic_error(
+          "simulate: trace plan chunk overflow (planner bug)");
+    }
     AccessEvent event;
     event.container = container;
     event.flat = layout.flat_index(indices);
     event.is_write = is_write;
     event.execution = execution_;
-    const std::int64_t position = position_++;
-    if (out_) {
-      // Chunk mode: the plan fixed this chunk's event range up front, so
-      // emitting past it means the planner under-counted — fail loudly
-      // instead of corrupting a neighboring slice.
-      if (position >= chunk_limit_) {
-        throw std::logic_error(
-            "simulate: trace plan chunk overflow (planner bug)");
-      }
-      out_->set(static_cast<std::size_t>(position), event);
-    } else {
-      trace_->events.push_back(event);
-    }
+    out_.set(static_cast<std::size_t>(position_++), event);
   }
 
-  const Sdfg& sdfg_;
-  const SymbolMap& symbols_;
-  const SimulationOptions& options_;
-  AccessTrace* trace_ = nullptr;
-  /// Placed layouts events resolve against: the owned trace's layouts in
-  /// a full run, the shared header's in chunk mode.
-  const std::vector<ConcreteLayout>* layouts_ = nullptr;
-  /// Chunk mode only: target list and the absolute event index one past
-  /// the chunk's slice.
-  EventList* out_ = nullptr;
-  std::int64_t chunk_limit_ = 0;
-  std::map<std::string, int> container_ids_;
-  ir::StateSchedule schedule_;
-  SymbolTable table_;
+  const CompiledState& compiled_;
+  const State& state_;
+  const std::vector<ConcreteLayout>& layouts_;
+  EventList& out_;
   std::vector<std::int64_t> env_values_;
   std::vector<char> env_bound_;
-  std::vector<CompiledMap> compiled_maps_;
-  std::vector<CompiledEdge> compiled_edges_;
-  /// Lane batching (indexed by node id; disabled entries fall back to
-  /// the scalar loop). Scratch buffers are reused across loop entries.
-  std::vector<BatchedScope> batched_scopes_;
   LaneEnv lane_env_;
   std::vector<std::int64_t> lane_out_;        ///< [varying index * W + lane].
   std::vector<std::int64_t> invariant_vals_;  ///< [invariant index].
   std::vector<std::int64_t> lane_param_;      ///< W point values, scratch.
   std::vector<std::array<std::int64_t, 3>> bounds_scratch_;
   layout::Index cursor_scratch_;
-  /// Global index of the next event: bounds a chunk's slice and places
-  /// its absolute set() stores.
+  /// Absolute index of the next event, and one past the chunk's slice.
   std::int64_t position_ = 0;
+  std::int64_t chunk_limit_ = 0;
   std::int64_t execution_ = 0;
 };
 
@@ -721,26 +644,6 @@ const ConcreteLayout& AccessTrace::layout_of(const std::string& name) const {
   return layouts[container_id(name)];
 }
 
-namespace {
-
-// Below this many total events, per-chunk setup (state schedule +
-// compilation per chunk) outweighs the parallel win.
-constexpr std::int64_t kMinParallelEvents = 8192;
-
-// Parallel generation is worth attempting at all: more than one thread
-// would run it, and we are not already inside a pool task (where
-// parallel constructs serialize and the plan is pure overhead).
-bool parallel_generation_possible() {
-  return par::num_threads() > 1 && !par::in_parallel_region();
-}
-
-bool plan_is_worthwhile(const TracePlan& plan) {
-  return plan.parallelizable && plan.chunks.size() > 1 &&
-         plan.total_events >= kMinParallelEvents;
-}
-
-}  // namespace
-
 AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options) {
   AccessTrace trace;
@@ -750,46 +653,80 @@ AccessTrace simulate(const Sdfg& sdfg, const SymbolMap& symbols,
 
 void simulate_into(const Sdfg& sdfg, const SymbolMap& symbols,
                    const SimulationOptions& options, AccessTrace& trace) {
-  if (parallel_generation_possible()) {
-    const TracePlan plan = plan_trace(sdfg, symbols, options);
-    if (plan_is_worthwhile(plan)) {
-      trace.containers.clear();
-      trace.layouts.clear();
-      trace.executions = 0;
-      place_containers_into(sdfg, symbols, options, trace, nullptr);
-      // Size the columns once from the plan total; every chunk then
-      // writes only its disjoint [event_offset, event_offset +
-      // event_count) slice, so no writer ever moves another's memory.
-      trace.events.resize(static_cast<std::size_t>(plan.total_events));
-      par::parallel_for(plan.chunks.size(), 1,
-                        [&](std::size_t begin, std::size_t end) {
-                          for (std::size_t c = begin; c < end; ++c) {
-                            simulate_chunk(sdfg, symbols, options, trace,
-                                           plan.chunks[c], trace.events);
-                          }
-                        });
-      trace.executions = plan.total_executions;
-      return;
-    }
-  }
-  Simulator(sdfg, symbols, options).run_into(trace);
+  detail::simulate_plan_into(sdfg, symbols, options,
+                             plan_trace(sdfg, symbols, options), trace);
 }
 
 void simulate_chunk(const Sdfg& sdfg, const SymbolMap& symbols,
                     const SimulationOptions& options,
                     const AccessTrace& header, const TraceChunk& chunk,
                     EventList& out) {
-  if (static_cast<std::int64_t>(out.size()) <
-      chunk.event_offset + chunk.event_count) {
-    throw std::invalid_argument("simulate_chunk: output list too short");
-  }
-  Simulator chunk_sim(sdfg, symbols, options);
-  chunk_sim.run_chunk(header, chunk, out);
+  detail::generate_chunks(sdfg, symbols, options, header, {&chunk, 1}, out);
 }
 
 void place_containers(const Sdfg& sdfg, const SymbolMap& symbols,
                       const SimulationOptions& options, AccessTrace& trace) {
-  place_containers_into(sdfg, symbols, options, trace, nullptr);
+  // sdfg.arrays() is an ordered map, so the container index assignment
+  // is deterministic.
+  layout::AddressSpace space(options.placement_alignment);
+  for (const auto& [name, descriptor] : sdfg.arrays()) {
+    ConcreteLayout layout = ConcreteLayout::from(descriptor, symbols);
+    space.place(layout);
+    trace.containers.push_back(name);
+    trace.layouts.push_back(std::move(layout));
+  }
 }
+
+namespace detail {
+
+void simulate_plan_into(const Sdfg& sdfg, const SymbolMap& symbols,
+                        const SimulationOptions& options,
+                        const TracePlan& plan, AccessTrace& trace) {
+  trace.containers.clear();
+  trace.layouts.clear();
+  trace.executions = 0;
+  place_containers(sdfg, symbols, options, trace);
+  // Size the columns once from the plan total (resize keeps the
+  // capacity of an earlier, larger step); every chunk then writes only
+  // its disjoint [event_offset, event_offset + event_count) slice.
+  trace.events.resize(static_cast<std::size_t>(plan.total_events));
+  generate_chunks(sdfg, symbols, options, trace, plan.chunks, trace.events);
+  trace.executions = plan.total_executions;
+}
+
+void generate_chunks(const Sdfg& sdfg, const SymbolMap& symbols,
+                     const SimulationOptions& options,
+                     const AccessTrace& header,
+                     std::span<const TraceChunk> chunks, EventList& out) {
+  std::map<std::string, int> container_ids;
+  for (std::size_t i = 0; i < header.containers.size(); ++i) {
+    container_ids.emplace(header.containers[i], static_cast<int>(i));
+  }
+  // Each state the chunks touch is compiled once, here, and shared
+  // read-only by every worker below.
+  std::vector<std::optional<CompiledState>> compiled(sdfg.states().size());
+  for (const TraceChunk& chunk : chunks) {
+    if (static_cast<std::int64_t>(out.size()) <
+        chunk.event_offset + chunk.event_count) {
+      throw std::invalid_argument("simulate: output list too short");
+    }
+    std::optional<CompiledState>& slot =
+        compiled.at(static_cast<std::size_t>(chunk.state));
+    if (!slot) {
+      slot.emplace(sdfg.states()[static_cast<std::size_t>(chunk.state)],
+                   container_ids, symbols, options);
+    }
+  }
+  par::parallel_for(chunks.size(), 1, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t c = begin; c < end; ++c) {
+      const TraceChunk& chunk = chunks[c];
+      ChunkWriter(*compiled[static_cast<std::size_t>(chunk.state)],
+                  header.layouts, out)
+          .run(chunk);
+    }
+  });
+}
+
+}  // namespace detail
 
 }  // namespace dmv::sim

@@ -10,9 +10,9 @@
 
 #include "dmv/symbolic/expr.hpp"
 
-#include "dmv/par/par.hpp"
 #include "dmv/sim/trace_plan.hpp"
 #include "dmv/util/fnv1a.hpp"
+#include "generate.hpp"
 #include "metric_detail.hpp"
 #include "metric_merge.hpp"
 
@@ -216,19 +216,10 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
   }
 
   const std::int64_t n_old = arena.ckpt_plan.total_events;
-  if (n_old != static_cast<std::int64_t>(arena.trace.events.size())) {
-    outcome.reason = "checkpoint trace out of sync";
-    return false;
-  }
-
   plan_trace_into(sdfg, symbols, options, kDeltaMaxChunks,
                   arena.scratch_plan);
   const TracePlan& plan_new = arena.scratch_plan;
   const TracePlan& plan_old = arena.ckpt_plan;
-  if (!plan_new.parallelizable) {
-    outcome.reason = "new binding not exactly plannable";
-    return false;
-  }
 
   const std::vector<std::set<std::string>> deps =
       chunk_dependencies(sdfg, plan_new);
@@ -346,39 +337,31 @@ bool delta_step(const PipelineConfig& config, ArenaState& arena,
       break;
     }
   }
-  // Both patch shapes write disjoint absolute slices (and the splice
-  // reads the already-resident checkpoint columns), so the per-chunk
-  // work fans out over the pool; chunk outputs are position-determined,
-  // keeping the patched trace bit-identical at any thread count.
+  // Dirty chunks are re-simulated at their absolute slices in one
+  // generation call; chunk outputs are position-determined, keeping the
+  // patched trace bit-identical at any thread count.
+  std::vector<TraceChunk> dirty;
+  for (std::size_t idx = 0; idx < plan_new.chunks.size(); ++idx) {
+    if (!matches[idx].clean) dirty.push_back(plan_new.chunks[idx]);
+  }
   if (in_place) {
     arena.trace.events.resize(n_new);  // Preserves the clean prefix.
-    par::parallel_for(
-        plan_new.chunks.size(), 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            if (matches[idx].clean) continue;
-            simulate_chunk(sdfg, symbols, options, arena.scratch_header,
-                           plan_new.chunks[idx], arena.trace.events);
-          }
-        });
+    detail::generate_chunks(sdfg, symbols, options, arena.scratch_header,
+                            dirty, arena.trace.events);
   } else {
     arena.back_events.resize(n_new);
-    par::parallel_for(
-        plan_new.chunks.size(), 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t idx = begin; idx < end; ++idx) {
-            const TraceChunk& nc = plan_new.chunks[idx];
-            if (matches[idx].clean) {
-              arena.back_events.assign_range(
-                  arena.trace.events,
-                  static_cast<std::size_t>(matches[idx].old_event_offset),
-                  static_cast<std::size_t>(nc.event_offset),
-                  static_cast<std::size_t>(nc.event_count),
-                  nc.execution_offset - matches[idx].old_execution_offset);
-            } else {
-              simulate_chunk(sdfg, symbols, options, arena.scratch_header, nc,
-                             arena.back_events);
-            }
-          }
-        });
+    for (std::size_t idx = 0; idx < plan_new.chunks.size(); ++idx) {
+      if (!matches[idx].clean) continue;
+      const TraceChunk& nc = plan_new.chunks[idx];
+      arena.back_events.assign_range(
+          arena.trace.events,
+          static_cast<std::size_t>(matches[idx].old_event_offset),
+          static_cast<std::size_t>(nc.event_offset),
+          static_cast<std::size_t>(nc.event_count),
+          nc.execution_offset - matches[idx].old_execution_offset);
+    }
+    detail::generate_chunks(sdfg, symbols, options, arena.scratch_header,
+                            dirty, arena.back_events);
     // The patched back buffer becomes the checkpoint trace (the old
     // front buffer is kept as a future patch target).
     std::swap(arena.trace.events, arena.back_events);
@@ -462,30 +445,25 @@ PipelineResult MetricPipeline::run_delta(const Sdfg& sdfg,
     }
   }
 
-  // Cold path: full simulation + a fresh metric pass, then arm the
-  // checkpoint for the next step.
+  // Cold path: plan once at delta granularity, generate that plan,
+  // run a fresh metric pass, then arm the checkpoint for the next step.
   outcome.path = DeltaOutcome::Path::kCold;
   arena.ckpt_valid = false;
   arena.live_valid = false;
   const auto cold_start = Clock::now();
-  simulate_into(sdfg, symbols, options, arena.trace);
+  plan_trace_into(sdfg, symbols, options, kDeltaMaxChunks, arena.ckpt_plan);
+  detail::simulate_plan_into(sdfg, symbols, options, arena.ckpt_plan,
+                             arena.trace);
   timings_ = {};
   timings_.simulate_ms = ms_since(cold_start);
   PipelineResult result =
       fresh_pass(config_, arena.trace, /*widen=*/false, /*resumable=*/true,
                  arena.live, timings_);
   arena.live_valid = true;
-  const std::size_t n = arena.trace.events.size();
-
-  plan_trace_into(sdfg, symbols, options, kDeltaMaxChunks, arena.ckpt_plan);
-  if (arena.ckpt_plan.parallelizable &&
-      arena.ckpt_plan.total_events == static_cast<std::int64_t>(n) &&
-      arena.ckpt_plan.total_executions == arena.trace.executions) {
-    arena.ckpt_valid = true;
-    arena.ckpt_program = program_version;
-    arena.ckpt_options = options_fp;
-    arena.ckpt_binding = symbols;
-  }
+  arena.ckpt_valid = true;
+  arena.ckpt_program = program_version;
+  arena.ckpt_options = options_fp;
+  arena.ckpt_binding = symbols;
   if (outcome_out) *outcome_out = outcome;
   return result;
 }

@@ -22,30 +22,62 @@ using ir::NodeKind;
 using ir::Subset;
 
 // Splitting a map finer than this many events per chunk buys no wall
-// time but pays per-chunk setup (state compilation, env binding).
+// time but pays per-chunk setup (environment binding, map entry).
 constexpr std::int64_t kMinChunkEvents = 4096;
 
-/// Internal: any condition the planner cannot model exactly. Callers of
-/// plan_trace never see it — the plan just comes back non-parallelizable
-/// and the serial engine reproduces the exact behavior (including where
-/// an error, if any, surfaces).
-struct PlanFailure : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+// Event and execution counts are int64 everywhere downstream; a binding
+// whose trace does not fit is refused before anything is sized.
+std::int64_t checked_add(std::int64_t a, std::int64_t b) {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(a, b, &sum)) {
+    throw std::overflow_error("trace plan: event count overflows int64");
+  }
+  return sum;
+}
+
+std::int64_t checked_mul(std::int64_t a, std::int64_t b) {
+  std::int64_t product = 0;
+  if (__builtin_mul_overflow(a, b, &product)) {
+    throw std::overflow_error("trace plan: event count overflows int64");
+  }
+  return product;
+}
 
 struct Counts {
   std::int64_t events = 0;
   std::int64_t executions = 0;
   Counts& operator+=(const Counts& other) {
-    events += other.events;
-    executions += other.executions;
+    events = checked_add(events, other.events);
+    executions = checked_add(executions, other.executions);
     return *this;
+  }
+  Counts times(std::int64_t n) const {
+    return {checked_mul(events, n), checked_mul(executions, n)};
   }
 };
 
+// Trip count of [begin : end : step], step > 0.
 std::int64_t range_trips(std::int64_t begin, std::int64_t end,
                          std::int64_t step) {
-  return end >= begin ? (end - begin) / step + 1 : 0;
+  if (end < begin) return 0;
+  std::int64_t extent = 0;
+  if (__builtin_sub_overflow(end, begin, &extent)) {
+    throw std::overflow_error("trace plan: iteration count overflows int64");
+  }
+  return checked_add(extent / step, 1);
+}
+
+void check_map_step(std::int64_t step) {
+  if (step <= 0) {
+    throw std::invalid_argument("IterationSpace: non-positive step");
+  }
+}
+
+// A subset step of 0 would make generation emit one element forever.
+void check_subset_step(std::int64_t step) {
+  if (step <= 0) {
+    throw std::invalid_argument("simulate: non-positive subset step");
+  }
 }
 
 // Elements enumerate_subset visits. The simulator's odometer always
@@ -58,8 +90,9 @@ std::int64_t subset_size(const Subset& subset, const SymbolMap& env) {
     const std::int64_t begin = range.begin.evaluate(env);
     const std::int64_t end = range.end.evaluate(env);
     const std::int64_t step = range.step.evaluate(env);
-    if (step <= 0) throw PlanFailure("non-positive subset step");
-    n *= std::max<std::int64_t>(1, range_trips(begin, end, step));
+    check_subset_step(step);
+    n = checked_mul(
+        n, std::max<std::int64_t>(1, range_trips(begin, end, step)));
   }
   return n;
 }
@@ -83,12 +116,9 @@ class Planner {
             plan_map(static_cast<int>(s), state, node, max_chunks, plan);
             break;
           case NodeKind::Tasklet:
-            add_chunk(static_cast<int>(s), id, 0, 1,
-                      tasklet_counts(node, symbols_), plan);
-            break;
           case NodeKind::Access:
             add_chunk(static_cast<int>(s), id, 0, 1,
-                      copy_counts(state, node, symbols_), plan);
+                      bound_node_counts(state, node, symbols_), plan);
             break;
           case NodeKind::MapExit:
             break;
@@ -112,8 +142,9 @@ class Planner {
     chunk.execution_offset = plan.total_executions;
     chunk.execution_count = counts.executions;
     plan.chunks.push_back(chunk);
-    plan.total_events += counts.events;
-    plan.total_executions += counts.executions;
+    plan.total_events = checked_add(plan.total_events, counts.events);
+    plan.total_executions =
+        checked_add(plan.total_executions, counts.executions);
   }
 
   // -- Chunk partitioning of one top-level map ------------------------
@@ -129,68 +160,59 @@ class Planner {
                 plan);
       return;
     }
-    // Outer bounds referencing the map's own parameters would be unbound
-    // in the simulator too; punt so the serial engine surfaces it.
-    const std::set<std::string> own(map.params.begin(), map.params.end());
+    // As in generation, the map's own parameters are unbound while its
+    // bounds are evaluated, whatever the binding holds under that name.
+    for (const std::string& param : map.params) env.erase(param);
     const ir::Range& outer = map.ranges[0];
-    if (symbolic::depends_on_any(outer.begin, own) ||
-        symbolic::depends_on_any(outer.end, own) ||
-        symbolic::depends_on_any(outer.step, own)) {
-      throw PlanFailure("outer bounds reference map parameters");
-    }
     const std::int64_t begin = outer.begin.evaluate(env);
     const std::int64_t end = outer.end.evaluate(env);
     const std::int64_t step = outer.step.evaluate(env);
-    if (step <= 0) throw PlanFailure("non-positive outer step");
+    check_map_step(step);
     const std::int64_t n0 = range_trips(begin, end, step);
     if (n0 == 0) return;  // Zero-trip map: nothing emitted.
-
-    // Per-outer-ordinal counts: one analytic product when the remaining
-    // extents are invariant in the map's own parameters, otherwise an
-    // exact enumeration per ordinal (triangular/tiled outer bounds).
-    Counts uniform;
-    bool is_uniform = false;
-    std::vector<Counts> per;
-    {
-      std::set<std::string> unbound(map.params.begin(), map.params.end());
-      if (std::optional<Counts> whole =
-              analytic_map_counts(state, node, 0, env, unbound)) {
-        // The analytic product is n0 * (inner trips) * (body counts), so
-        // the division is exact.
-        uniform.events = whole->events / n0;
-        uniform.executions = whole->executions / n0;
-        is_uniform = true;
-      }
-    }
-    if (!is_uniform) {
-      per.resize(static_cast<std::size_t>(n0));
-      const std::string& param = map.params[0];
-      const auto shadowed = env.find(param);
-      const bool had = shadowed != env.end();
-      const std::int64_t previous = had ? shadowed->second : 0;
-      for (std::int64_t o = 0; o < n0; ++o) {
-        env[param] = begin + o * step;
-        per[static_cast<std::size_t>(o)] =
-            map_counts_from_dim(state, node, 1, env);
-      }
-      if (had) {
-        env[param] = previous;
-      } else {
-        env.erase(param);
-      }
-    }
-    auto at = [&](std::int64_t o) -> const Counts& {
-      return is_uniform ? uniform : per[static_cast<std::size_t>(o)];
-    };
-    std::int64_t map_events = 0;
-    for (std::int64_t o = 0; o < n0; ++o) map_events += at(o).events;
     const std::int64_t goal = std::max(1, max_chunks);
-    const std::int64_t target =
-        std::max((map_events + goal - 1) / goal, kMinChunkEvents);
+    // A chunk closes at the first outer ordinal where its events reach
+    // the target.
+    auto chunk_target = [goal](std::int64_t map_events) {
+      const std::int64_t share =
+          map_events == 0 ? 0 : (map_events - 1) / goal + 1;
+      return std::max(share, kMinChunkEvents);
+    };
+
+    // Every outer ordinal has the same counts when the remaining extents
+    // are invariant in the map's own parameters: the chunk boundaries
+    // then follow by arithmetic, at a cost set by the chunk count.
+    const std::set<std::string> own(map.params.begin(), map.params.end());
+    if (std::optional<Counts> per =
+            analytic_map_counts(state, node, 1, env, own)) {
+      const std::int64_t target = chunk_target(per->times(n0).events);
+      const std::int64_t ordinals =
+          per->events == 0 ? n0
+                           : std::min(n0, (target - 1) / per->events + 1);
+      for (std::int64_t first = 0; first < n0;) {
+        const std::int64_t count = std::min(ordinals, n0 - first);
+        add_chunk(state_index, node.id, first, count, per->times(count),
+                  plan);
+        first += count;
+      }
+      return;
+    }
+
+    // Otherwise (triangular/tiled outer bounds) each ordinal is counted
+    // by exact enumeration.
+    std::vector<Counts> per(static_cast<std::size_t>(n0));
+    Counts map_total;
+    for (std::int64_t o = 0; o < n0; ++o) {
+      env[map.params[0]] = begin + o * step;
+      per[static_cast<std::size_t>(o)] =
+          map_counts_from_dim(state, node, 1, env);
+      map_total += per[static_cast<std::size_t>(o)];
+    }
+    const std::int64_t target = chunk_target(map_total.events);
     std::int64_t chunk_begin = 0;
     Counts acc;
     for (std::int64_t o = 0; o < n0; ++o) {
-      acc += at(o);
+      acc += per[static_cast<std::size_t>(o)];
       if (acc.events >= target || o + 1 == n0) {
         add_chunk(state_index, node.id, chunk_begin, o + 1 - chunk_begin, acc,
                   plan);
@@ -200,42 +222,65 @@ class Planner {
     }
   }
 
-  // -- Exact counting (enumerating fallback) --------------------------
+  // -- Counting one tasklet firing or one copy node ------------------
 
-  Counts tasklet_counts(const Node& node, const SymbolMap& env) const {
-    Counts counts;
-    for (const Edge* edge : schedule_.in_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      counts.events += subset_size(edge->memlet.subset, env);
-    }
-    for (const Edge* edge : schedule_.out_adjacency[node.id]) {
-      if (edge->memlet.is_empty()) continue;
-      const std::int64_t n = subset_size(edge->memlet.subset, env);
-      const bool wcr_read =
-          edge->memlet.wcr != ir::Wcr::None && options_.wcr_reads;
-      counts.events += wcr_read ? 2 * n : n;
-    }
-    counts.executions = 1;
-    return counts;
+  static const Subset& copy_destination(const Edge& edge) {
+    return edge.memlet.other_subset.ranges.empty() ? edge.memlet.subset
+                                                   : edge.memlet.other_subset;
   }
 
-  Counts copy_counts(const State& state, const Node& node,
-                     const SymbolMap& env) const {
+  /// Counts of a tasklet firing or of an access node's copies, given the
+  /// element count of each subset (nullopt when one is not known).
+  template <typename SizeOf>
+  std::optional<Counts> node_counts(const State& state, const Node& node,
+                                    SizeOf&& size_of) const {
     Counts counts;
+    if (node.kind == NodeKind::Tasklet) {
+      for (const Edge* edge : schedule_.in_adjacency[node.id]) {
+        if (edge->memlet.is_empty()) continue;
+        const std::optional<std::int64_t> n = size_of(edge->memlet.subset);
+        if (!n) return std::nullopt;
+        counts.events = checked_add(counts.events, *n);
+      }
+      // A written element is one event, or two when WCR outputs also
+      // emit their read.
+      for (const Edge* edge : schedule_.out_adjacency[node.id]) {
+        if (edge->memlet.is_empty()) continue;
+        const std::optional<std::int64_t> n = size_of(edge->memlet.subset);
+        if (!n) return std::nullopt;
+        const bool wcr_read =
+            edge->memlet.wcr != ir::Wcr::None && options_.wcr_reads;
+        counts.events =
+            checked_add(counts.events, wcr_read ? checked_mul(*n, 2) : *n);
+      }
+      counts.executions = 1;
+      return counts;
+    }
     for (const Edge* edge : schedule_.out_adjacency[node.id]) {
       if (edge->memlet.is_empty()) continue;
       if (state.node(edge->dst).kind != NodeKind::Access) continue;
-      const std::int64_t n_src = subset_size(edge->memlet.subset, env);
-      const Subset& dst_subset = edge->memlet.other_subset.ranges.empty()
-                                     ? edge->memlet.subset
-                                     : edge->memlet.other_subset;
-      const std::int64_t n_dst = subset_size(dst_subset, env);
-      if (n_src != n_dst) throw PlanFailure("copy subset size mismatch");
-      counts.events += 2 * n_src;
-      counts.executions += n_src;
+      const std::optional<std::int64_t> n_src = size_of(edge->memlet.subset);
+      const std::optional<std::int64_t> n_dst =
+          size_of(copy_destination(*edge));
+      if (!n_src || !n_dst) return std::nullopt;
+      if (*n_src != *n_dst) {
+        throw std::logic_error("simulate: copy subset size mismatch on '" +
+                               edge->memlet.data + "'");
+      }
+      counts += Counts{checked_mul(*n_src, 2), *n_src};
     }
     return counts;
   }
+
+  /// Counts of a tasklet or copy node under a fully bound env.
+  Counts bound_node_counts(const State& state, const Node& node,
+                           const SymbolMap& env) const {
+    return *node_counts(state, node, [&env](const Subset& subset) {
+      return std::optional<std::int64_t>(subset_size(subset, env));
+    });
+  }
+
+  // -- Exact counting (enumerating fallback) --------------------------
 
   Counts scope_counts(const State& state, NodeId scope, SymbolMap& env) const {
     Counts total;
@@ -244,13 +289,11 @@ class Planner {
       if (node.scope_parent != scope) continue;
       switch (node.kind) {
         case NodeKind::MapEntry:
-          total += map_counts_from_dim(state, node, 0, env);
+          total += map_counts(state, node, env);
           break;
         case NodeKind::Tasklet:
-          total += tasklet_counts(node, env);
-          break;
         case NodeKind::Access:
-          total += copy_counts(state, node, env);
+          total += bound_node_counts(state, node, env);
           break;
         case NodeKind::MapExit:
           break;
@@ -259,47 +302,48 @@ class Planner {
     return total;
   }
 
-  /// Counts of the map with dims [0, dim) already bound in env. Tries
-  /// the analytic product for the remaining dims first; otherwise binds
-  /// this dim's parameter value by value and recurses.
+  /// Counts of one entry into a nested map. Its parameters shadow any
+  /// outer binding of the same name until the map exits.
+  Counts map_counts(const State& state, const Node& node,
+                    SymbolMap& env) const {
+    SymbolMap shadowed;
+    for (const std::string& param : node.map.params) {
+      if (auto it = env.find(param); it != env.end()) {
+        shadowed.insert(*it);
+        env.erase(it);
+      }
+    }
+    const Counts counts = map_counts_from_dim(state, node, 0, env);
+    env.insert(shadowed.begin(), shadowed.end());
+    return counts;
+  }
+
+  /// Counts of the map with dims [0, dim) bound in env and the rest
+  /// unbound. Tries the analytic product for the remaining dims first;
+  /// otherwise binds this dim's parameter value by value and recurses.
   Counts map_counts_from_dim(const State& state, const Node& node,
                              std::size_t dim, SymbolMap& env) const {
     const ir::MapInfo& map = node.map;
     if (dim == map.ranges.size()) return scope_counts(state, node.id, env);
-    {
-      std::set<std::string> unbound(map.params.begin() + dim,
-                                    map.params.end());
-      if (std::optional<Counts> analytic =
-              analytic_map_counts(state, node, dim, env, unbound)) {
-        return *analytic;
-      }
+    const std::set<std::string> unbound(map.params.begin() + dim,
+                                        map.params.end());
+    if (std::optional<Counts> analytic =
+            analytic_map_counts(state, node, dim, env, unbound)) {
+      return *analytic;
     }
     const ir::Range& range = map.ranges[dim];
-    const std::set<std::string> remaining(map.params.begin() + dim,
-                                          map.params.end());
-    if (symbolic::depends_on_any(range.begin, remaining) ||
-        symbolic::depends_on_any(range.end, remaining) ||
-        symbolic::depends_on_any(range.step, remaining)) {
-      throw PlanFailure("bounds reference own or inner map parameters");
-    }
     const std::int64_t begin = range.begin.evaluate(env);
     const std::int64_t end = range.end.evaluate(env);
     const std::int64_t step = range.step.evaluate(env);
-    if (step <= 0) throw PlanFailure("non-positive map step");
+    check_map_step(step);
     Counts total;
     const std::string& param = map.params[dim];
-    const auto shadowed = env.find(param);
-    const bool had = shadowed != env.end();
-    const std::int64_t previous = had ? shadowed->second : 0;
-    for (std::int64_t v = begin; v <= end; v += step) {
-      env[param] = v;
+    const std::int64_t trips = range_trips(begin, end, step);
+    for (std::int64_t o = 0; o < trips; ++o) {
+      env[param] = begin + o * step;
       total += map_counts_from_dim(state, node, dim + 1, env);
     }
-    if (had) {
-      env[param] = previous;
-    } else {
-      env.erase(param);
-    }
+    env.erase(param);
     return total;
   }
 
@@ -314,15 +358,16 @@ class Planner {
 
   static std::optional<std::int64_t> analytic_trips(
       const ir::Range& range, const SymbolMap& env,
-      const std::set<std::string>& unbound) {
+      const std::set<std::string>& unbound,
+      void (*check_step)(std::int64_t)) {
     if (symbolic::depends_on_any(range.step, unbound)) return std::nullopt;
     const symbolic::Expr extent = symbolic::simplified(range.end - range.begin);
     if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
     const auto e = extent.try_evaluate(env);
     const auto s = range.step.try_evaluate(env);
     if (!e || !s) return std::nullopt;
-    if (*s <= 0) return std::nullopt;
-    return *e >= 0 ? *e / *s + 1 : 0;
+    check_step(*s);
+    return range_trips(0, *e, *s);
   }
 
   static std::optional<std::int64_t> analytic_subset_size(
@@ -330,15 +375,10 @@ class Planner {
       const std::set<std::string>& unbound) {
     std::int64_t n = 1;
     for (const ir::Range& range : subset.ranges) {
-      if (symbolic::depends_on_any(range.step, unbound)) return std::nullopt;
-      const symbolic::Expr extent =
-          symbolic::simplified(range.end - range.begin);
-      if (symbolic::depends_on_any(extent, unbound)) return std::nullopt;
-      const auto e = extent.try_evaluate(env);
-      const auto s = range.step.try_evaluate(env);
-      if (!e || !s) return std::nullopt;
-      if (*s <= 0) throw PlanFailure("non-positive subset step");
-      n *= std::max<std::int64_t>(1, *e >= 0 ? *e / *s + 1 : 0);
+      const auto trips =
+          analytic_trips(range, env, unbound, check_subset_step);
+      if (!trips) return std::nullopt;
+      n = checked_mul(n, std::max<std::int64_t>(1, *trips));
     }
     return n;
   }
@@ -350,76 +390,47 @@ class Planner {
     for (NodeId id : schedule_.order) {
       const Node& node = state.node(id);
       if (node.scope_parent != scope) continue;
+      std::optional<Counts> counts;
       switch (node.kind) {
         case NodeKind::MapEntry: {
           std::set<std::string> inner = unbound;
           inner.insert(node.map.params.begin(), node.map.params.end());
-          std::optional<Counts> nested =
-              analytic_map_counts(state, node, 0, env, inner);
-          if (!nested) return std::nullopt;
-          total += *nested;
+          counts = analytic_map_counts(state, node, 0, env, inner);
           break;
         }
-        case NodeKind::Tasklet: {
-          for (const Edge* edge : schedule_.in_adjacency[id]) {
-            if (edge->memlet.is_empty()) continue;
-            const auto n = analytic_subset_size(edge->memlet.subset, env,
-                                                unbound);
-            if (!n) return std::nullopt;
-            total.events += *n;
-          }
-          for (const Edge* edge : schedule_.out_adjacency[id]) {
-            if (edge->memlet.is_empty()) continue;
-            const auto n = analytic_subset_size(edge->memlet.subset, env,
-                                                unbound);
-            if (!n) return std::nullopt;
-            const bool wcr_read =
-                edge->memlet.wcr != ir::Wcr::None && options_.wcr_reads;
-            total.events += wcr_read ? 2 * *n : *n;
-          }
-          total.executions += 1;
+        case NodeKind::Tasklet:
+        case NodeKind::Access:
+          counts = node_counts(state, node, [&](const Subset& subset) {
+            return analytic_subset_size(subset, env, unbound);
+          });
           break;
-        }
-        case NodeKind::Access: {
-          for (const Edge* edge : schedule_.out_adjacency[id]) {
-            if (edge->memlet.is_empty()) continue;
-            if (state.node(edge->dst).kind != NodeKind::Access) continue;
-            const auto n_src = analytic_subset_size(edge->memlet.subset, env,
-                                                    unbound);
-            const Subset& dst_subset =
-                edge->memlet.other_subset.ranges.empty()
-                    ? edge->memlet.subset
-                    : edge->memlet.other_subset;
-            const auto n_dst = analytic_subset_size(dst_subset, env, unbound);
-            if (!n_src || !n_dst) return std::nullopt;
-            if (*n_src != *n_dst) {
-              throw PlanFailure("copy subset size mismatch");
-            }
-            total.events += 2 * *n_src;
-            total.executions += *n_src;
-          }
-          break;
-        }
         case NodeKind::MapExit:
-          break;
+          continue;
       }
+      if (!counts) return std::nullopt;
+      total += *counts;
     }
     return total;
   }
 
+  /// Counts of dims [dim, end) of the map and its body. A dimension with
+  /// zero trips ends the count: generation never reaches the dimensions
+  /// and the body behind it, so neither may raise.
   std::optional<Counts> analytic_map_counts(
       const State& state, const Node& node, std::size_t dim,
       const SymbolMap& env, const std::set<std::string>& unbound) const {
     std::int64_t trips = 1;
     for (std::size_t d = dim; d < node.map.ranges.size(); ++d) {
-      const auto t = analytic_trips(node.map.ranges[d], env, unbound);
+      const auto t =
+          analytic_trips(node.map.ranges[d], env, unbound, check_map_step);
       if (!t) return std::nullopt;
-      trips *= *t;
+      if (*t == 0) return Counts{};
+      trips = checked_mul(trips, *t);
     }
     const std::optional<Counts> body =
         analytic_scope_counts(state, node.id, env, unbound);
     if (!body) return std::nullopt;
-    return Counts{trips * body->events, trips * body->executions};
+    return body->times(trips);
   }
 
   const Sdfg& sdfg_;
@@ -433,24 +444,13 @@ class Planner {
 void plan_trace_into(const Sdfg& sdfg, const SymbolMap& symbols,
                      const SimulationOptions& options, int max_chunks_per_map,
                      TracePlan& plan) {
-  plan.parallelizable = false;
   plan.total_events = 0;
   plan.total_executions = 0;
   plan.chunks.clear();
   int max_chunks = max_chunks_per_map > 0 ? max_chunks_per_map
                                           : par::num_threads() * 4;
   if (max_chunks < 1) max_chunks = 1;
-  try {
-    Planner(sdfg, symbols, options).build(max_chunks, plan);
-    plan.parallelizable = true;
-  } catch (...) {
-    // Not exactly modelable (unbound symbol, non-positive step, size
-    // mismatch, overflow, ...): serial generation reproduces the exact
-    // behavior, including where the error — if any — surfaces.
-    plan.total_events = 0;
-    plan.total_executions = 0;
-    plan.chunks.clear();
-  }
+  Planner(sdfg, symbols, options).build(max_chunks, plan);
 }
 
 TracePlan plan_trace(const Sdfg& sdfg, const SymbolMap& symbols,

@@ -149,8 +149,7 @@ int cmd_pack(int argc, char** argv) {
   constexpr int kPlanChunksPerMap = 16;
   dmv::sim::TracePlan plan =
       dmv::sim::plan_trace(sdfg, binding, sim_options, kPlanChunksPerMap);
-  dmv::store::write_trace_file(trace, output, options,
-                               plan.parallelizable ? &plan : nullptr);
+  dmv::store::write_trace_file(trace, output, options, &plan);
   dmv::store::TraceStoreReader reader(output);
   std::cout << "packed " << trace.events.size() << " events ("
             << trace.events.used_bytes() << " bytes raw) -> " << output
@@ -250,7 +249,11 @@ int cmd_warm(int argc, char** argv) {
   // computes land in the directory a later server re-serves from.
   dmv::session::SharedArtifactCache::Config shared_config;
   shared_config.disk_dir = cache_dir;
-  dmv::session::SessionConfig session_config;  // dmv_serve defaults.
+  // dmv_serve defaults minus prefetch: speculative neighbors outside the
+  // sweep would be simulated and persisted although nobody asked for
+  // them.
+  dmv::session::SessionConfig session_config;
+  session_config.prefetch = false;
   session_config.shared_cache =
       std::make_shared<dmv::session::SharedArtifactCache>(shared_config);
 

@@ -372,7 +372,7 @@ std::vector<ChunkBound> chunk_bounds(const sim::EventList& events,
   };
 
   std::vector<ChunkBound> bounds;
-  if (plan != nullptr && plan->parallelizable && plan->total_events == total) {
+  if (plan != nullptr && plan->total_events == total) {
     for (const sim::TraceChunk& chunk : plan->chunks) {
       if (chunk.event_count <= 0) continue;
       if (chunk.event_count <= 2 * target) {

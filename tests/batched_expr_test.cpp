@@ -11,6 +11,7 @@
 #include "dmv/builder/program_builder.hpp"
 #include "dmv/par/par.hpp"
 #include "dmv/sim/sim.hpp"
+#include "dmv/sim/trace_plan.hpp"
 #include "dmv/symbolic/batched.hpp"
 #include "dmv/symbolic/compiled.hpp"
 #include "dmv/symbolic/expr.hpp"
@@ -256,11 +257,22 @@ TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
   const ir::Sdfg sdfg = program.take();
   EXPECT_THROW(reference_trace(sdfg, {}), std::domain_error);
 
-  // The serial engine appends to the caller's trace as it goes, so the
-  // events before the fault stay visible after the throw.
-  par::ThreadScope serial(1);
-  AccessTrace trace;
-  EXPECT_THROW(simulate_into(sdfg, {}, {}, trace), std::domain_error);
+  // Generation writes into a list pre-sized from the plan. The faulting
+  // chunk fills its slice up to the fault and leaves the rest alone.
+  const TracePlan plan = plan_trace(sdfg, {}, {});
+  ASSERT_EQ(plan.chunks.size(), 1u);
+  ASSERT_EQ(plan.total_events, 20);
+  AccessTrace header;
+  place_containers(sdfg, {}, {}, header);
+  AccessEvent sentinel;
+  sentinel.container = 7;
+  sentinel.flat = -1;
+  sentinel.execution = -1;
+  EventList events;
+  events.resize(static_cast<std::size_t>(plan.total_events));
+  for (std::size_t i = 0; i < events.size(); ++i) events.set(i, sentinel);
+  EXPECT_THROW(simulate_chunk(sdfg, {}, {}, header, plan.chunks[0], events),
+               std::domain_error);
   // Iterations 0..3 read A[i % (4 - i)] = A[0], A[1], A[0], A[0] and
   // write B[i]; A is container 0 and B container 1.
   struct Expected {
@@ -273,15 +285,17 @@ TEST(BatchedTrace, FaultingLaneReplaysAtExactScalarPosition) {
                                {0, 1, false, 1}, {1, 1, true, 1},
                                {0, 0, false, 2}, {1, 2, true, 2},
                                {0, 0, false, 3}, {1, 3, true, 3}};
-  ASSERT_EQ(trace.events.size(), std::size(expected));
   for (std::size_t i = 0; i < std::size(expected); ++i) {
-    const AccessEvent event = trace.events[i];
+    const AccessEvent event = events[i];
     EXPECT_EQ(event.container, expected[i].container) << "event " << i;
     EXPECT_EQ(event.flat, expected[i].flat) << "event " << i;
     EXPECT_EQ(event.is_write, expected[i].is_write) << "event " << i;
-    EXPECT_EQ(event.timestep, static_cast<std::int64_t>(i)) << "event " << i;
     EXPECT_EQ(event.execution, expected[i].execution) << "event " << i;
   }
+  const AccessEvent untouched = events[std::size(expected)];
+  EXPECT_EQ(untouched.container, sentinel.container);
+  EXPECT_EQ(untouched.flat, sentinel.flat);
+  EXPECT_EQ(untouched.execution, sentinel.execution);
 }
 
 TEST(BatchedTrace, UnboundSymbolThrowsIdentically) {

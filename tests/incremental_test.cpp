@@ -321,7 +321,6 @@ TEST(IncrementalChunkDepsTest, AlignedWithPlanAndSliderSemantics) {
   SymbolMap binding = cap_binding(6);
   SimulationOptions options;
   TracePlan plan = plan_trace(sdfg, binding, options, 1 << 20);
-  ASSERT_TRUE(plan.parallelizable);
   ASSERT_GT(plan.chunks.size(), 1u);
 
   std::vector<std::set<std::string>> deps = chunk_dependencies(sdfg, plan);
@@ -349,7 +348,6 @@ TEST(IncrementalChunkDepsTest, StockLayoutKeepsSliderInDependencies) {
   ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Reordered);
   SymbolMap binding{{"I", 20}, {"J", 20}, {"K", 6}};
   TracePlan plan = plan_trace(sdfg, binding, SimulationOptions{}, 1 << 20);
-  ASSERT_TRUE(plan.parallelizable);
   std::vector<std::set<std::string>> deps = chunk_dependencies(sdfg, plan);
   ASSERT_EQ(deps.size(), plan.chunks.size());
   for (const std::set<std::string>& d : deps) {
@@ -367,7 +365,6 @@ void fuzz_closed_form(const ir::Sdfg& sdfg, const SymbolMap& binding) {
 
   // Event/execution totals mirror the exact trace planner.
   TracePlan plan = plan_trace(sdfg, binding, SimulationOptions{}, 0);
-  ASSERT_TRUE(plan.parallelizable);
   EXPECT_EQ(values.total_events, plan.total_events);
   EXPECT_EQ(values.total_executions, plan.total_executions);
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <map>
 #include <set>
@@ -305,6 +306,81 @@ TEST(ServeProtocolTest, OutOfRangeIntegersAreBadRequest) {
                                                "\"prefetch_depth\":8}}"));
   ASSERT_TRUE(limit.has("result")) << dmv::json::dump(limit);
   EXPECT_EQ(limit.at("result").at("prefetch_depth").as_int(), 8);
+}
+
+std::string binding_step(const std::string& session,
+                         const std::string& binding) {
+  return "{\"id\":3,\"method\":\"step\",\"params\":{\"session\":\"" +
+         session + "\",\"binding\":" + binding + "}}";
+}
+
+TEST(ServeProtocolTest, OverflowingEventCountIsBadRequestFast) {
+  // Both bindings describe hdiff traces longer than int64 can count.
+  // The planner derives the chunk boundaries of a uniform map by
+  // arithmetic and checks every count, so each step is refused at once
+  // instead of looping over 4e12 or 2^62 outer trips.
+  Server server;
+  server.handle(open_request("a", "hdiff"));
+  server.handle(step_request("a", "K", 6));  // Arms the delta checkpoint.
+  for (const char* binding : {"{\"I\":4e12,\"J\":4e12,\"K\":5}",
+                              "{\"I\":4611686018427387904,\"J\":8,\"K\":5}"}) {
+    const auto start = std::chrono::steady_clock::now();
+    const Value response =
+        parse_line(server.handle(binding_step("a", binding)));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(response.has("error")) << binding;
+    EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request")
+        << dmv::json::dump(response);
+    EXPECT_NE(response.at("error").at("message").as_string().find("overflow"),
+              std::string::npos)
+        << dmv::json::dump(response);
+    EXPECT_LT(elapsed, std::chrono::seconds(5)) << binding;
+  }
+  const Value stepped = parse_line(
+      server.handle(binding_step("a", "{\"I\":8,\"J\":8,\"K\":5}")));
+  ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
+  EXPECT_EQ(stepped.at("result").at("checksum").as_string(),
+            reference_checksums({5}).front());
+}
+
+/// B[i] = A[0:N-1:S] over i in 0:N-1: every point reads a strided row.
+dmv::ir::Sdfg strided_program() {
+  dmv::builder::ProgramBuilder program("strided");
+  program.symbols({"N", "S"});
+  program.array("A", {"N"});
+  program.array("B", {"N"});
+  program.state("s");
+  program.mapped_tasklet("t", {{"i", "0:N-1"}}, {{"a", "A", "0:N-1:S"}},
+                         "b = a", {{"b", "B", "i"}});
+  return program.take();
+}
+
+TEST(ServeProtocolTest, ZeroSubsetStepIsBadRequestBeforeGeneration) {
+  // A zero subset step would emit the first element forever; the
+  // planner refuses it before any event is generated.
+  Server server;
+  const Value opened = parse_line(server.handle(open_inline_request(
+      "s", dmv::ir::to_json(strided_program()), "{\"N\":64,\"S\":1}")));
+  ASSERT_TRUE(opened.has("result")) << dmv::json::dump(opened);
+  const auto start = std::chrono::steady_clock::now();
+  const Value refused = parse_line(server.handle(step_request("s", "S", 0)));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  ASSERT_TRUE(refused.has("error")) << dmv::json::dump(refused);
+  EXPECT_EQ(refused.at("error").at("code").as_string(), "bad_request");
+  EXPECT_NE(refused.at("error").at("message").as_string().find(
+                "non-positive subset step"),
+            std::string::npos)
+      << dmv::json::dump(refused);
+
+  const Value stepped = parse_line(server.handle(step_request("s", "S", 2)));
+  ASSERT_TRUE(stepped.has("result")) << dmv::json::dump(stepped);
+  dmv::session::SessionConfig config;
+  config.prefetch = false;
+  dmv::session::Session lone(strided_program(), std::move(config));
+  lone.set_binding({{"N", 64}, {"S", 2}});
+  EXPECT_EQ(stepped.at("result").at("checksum").as_string(),
+            std::to_string(dmv::serve::result_checksum(*lone.metrics())));
+  EXPECT_EQ(stepped.at("result").at("executions").as_int(), 64);
 }
 
 TEST(ServeJsonTest, AsIntRejectsTwoToTheSixtyThree) {

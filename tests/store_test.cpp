@@ -120,7 +120,6 @@ TEST(StoreRoundTripTest, PlanAlignedChunksTileTheTrace) {
   sim::SimulationOptions options;
   sim::AccessTrace trace = sim::simulate(sdfg, binding, options);
   sim::TracePlan plan = sim::plan_trace(sdfg, binding, options);
-  ASSERT_TRUE(plan.parallelizable);
 
   store::StoreOptions store_options;
   store_options.chunk_events = 1 << 12;

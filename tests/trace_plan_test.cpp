@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dmv/builder/program_builder.hpp"
@@ -11,25 +13,18 @@
 #include "dmv/workloads/workloads.hpp"
 #include "reference_trace.hpp"
 
-// The chunk planner's contract: plan_trace() predicts the serial event
-// stream EXACTLY — total counts, per-chunk counts, and offsets — for
-// every workload and binding, before a single event is generated. These
-// tests cross-check plans against serial emission and regenerate each
-// chunk in isolation to verify it reproduces its slice of the serial
-// trace bit-for-bit.
+// The chunk planner's contract: plan_trace() predicts the event stream
+// EXACTLY — total counts, per-chunk counts, and offsets — for every
+// workload and binding, before a single event is generated, and refuses
+// a binding it cannot model with the exception the walk raises. These
+// tests cross-check plans against the reference tracer
+// (tests/reference_trace.hpp) and regenerate each chunk in isolation to
+// verify it reproduces its slice bit for bit.
 
 namespace dmv::sim {
 namespace {
 
 using builder::ProgramBuilder;
-
-// Serial ground truth: one thread, so the parallel path is never what we
-// compare against here.
-AccessTrace serial_trace(const ir::Sdfg& sdfg, const symbolic::SymbolMap& b,
-                         const SimulationOptions& options = {}) {
-  par::ThreadScope scope(1);
-  return simulate(sdfg, b, options);
-}
 
 // Regenerates `chunk` in isolation through simulate_chunk and compares
 // its slice against the corresponding slice of `reference`.
@@ -64,7 +59,6 @@ void expect_plan_matches(const ir::Sdfg& sdfg,
                          const AccessTrace& reference) {
   const TracePlan plan = plan_trace(sdfg, binding, options,
                                     max_chunks_per_map);
-  ASSERT_TRUE(plan.parallelizable);
   EXPECT_EQ(plan.total_events,
             static_cast<std::int64_t>(reference.events.size()));
   EXPECT_EQ(plan.total_executions, reference.executions);
@@ -89,55 +83,55 @@ void expect_plan_matches(const ir::Sdfg& sdfg,
   }
 }
 
-void expect_plan_matches_serial(const ir::Sdfg& sdfg,
-                                const symbolic::SymbolMap& binding,
-                                const SimulationOptions& options = {},
-                                int max_chunks_per_map = 4) {
+void expect_plan_matches_reference(const ir::Sdfg& sdfg,
+                                   const symbolic::SymbolMap& binding,
+                                   const SimulationOptions& options = {},
+                                   int max_chunks_per_map = 4) {
   expect_plan_matches(sdfg, binding, options, max_chunks_per_map,
-                      serial_trace(sdfg, binding, options));
+                      reference_trace(sdfg, binding, options));
 }
 
 TEST(TracePlan, HdiffAcrossBindings) {
   const ir::Sdfg sdfg = workloads::hdiff(workloads::HdiffVariant::Baseline);
-  expect_plan_matches_serial(sdfg, workloads::hdiff_local());
-  expect_plan_matches_serial(sdfg, {{"I", 5}, {"J", 7}, {"K", 3}});
-  expect_plan_matches_serial(sdfg, {{"I", 16}, {"J", 4}, {"K", 1}});
+  expect_plan_matches_reference(sdfg, workloads::hdiff_local());
+  expect_plan_matches_reference(sdfg, {{"I", 5}, {"J", 7}, {"K", 3}});
+  expect_plan_matches_reference(sdfg, {{"I", 16}, {"J", 4}, {"K", 1}});
 }
 
 TEST(TracePlan, BertAcrossBindings) {
   const ir::Sdfg sdfg = workloads::bert_encoder(workloads::BertStage::Fused1);
-  expect_plan_matches_serial(sdfg, workloads::bert_small());
-  expect_plan_matches_serial(
+  expect_plan_matches_reference(sdfg, workloads::bert_small());
+  expect_plan_matches_reference(
       sdfg,
       {{"B", 1}, {"H", 1}, {"SM", 4}, {"I", 8}, {"emb", 16}, {"P", 4}});
-  expect_plan_matches_serial(
+  expect_plan_matches_reference(
       sdfg,
       {{"B", 2}, {"H", 2}, {"SM", 4}, {"I", 8}, {"emb", 8}, {"P", 2}});
 }
 
 TEST(TracePlan, MatmulAcrossBindings) {
   const ir::Sdfg sdfg = workloads::matmul();
-  expect_plan_matches_serial(sdfg, workloads::matmul_fig5());
-  expect_plan_matches_serial(sdfg, {{"M", 3}, {"N", 5}, {"K", 7}});
-  expect_plan_matches_serial(sdfg, {{"M", 1}, {"N", 1}, {"K", 9}});
+  expect_plan_matches_reference(sdfg, workloads::matmul_fig5());
+  expect_plan_matches_reference(sdfg, {{"M", 3}, {"N", 5}, {"K", 7}});
+  expect_plan_matches_reference(sdfg, {{"M", 1}, {"N", 1}, {"K", 9}});
 }
 
 TEST(TracePlan, ConvAcrossBindings) {
   const ir::Sdfg sdfg = workloads::conv2d();
-  expect_plan_matches_serial(sdfg, workloads::conv2d_fig4());
+  expect_plan_matches_reference(sdfg, workloads::conv2d_fig4());
   symbolic::SymbolMap binding = workloads::conv2d_fig4();
   binding["Cout"] = 1;
-  expect_plan_matches_serial(sdfg, binding);
+  expect_plan_matches_reference(sdfg, binding);
   binding["Hh"] = 6;
   binding["W"] = 6;
-  expect_plan_matches_serial(sdfg, binding);
+  expect_plan_matches_reference(sdfg, binding);
 }
 
 TEST(TracePlan, OuterProductAcrossBindings) {
   const ir::Sdfg sdfg = workloads::outer_product();
-  expect_plan_matches_serial(sdfg, workloads::outer_product_fig3());
-  expect_plan_matches_serial(sdfg, {{"M", 1}, {"N", 17}});
-  expect_plan_matches_serial(sdfg, {{"M", 64}, {"N", 2}});
+  expect_plan_matches_reference(sdfg, workloads::outer_product_fig3());
+  expect_plan_matches_reference(sdfg, {{"M", 1}, {"N", 17}});
+  expect_plan_matches_reference(sdfg, {{"M", 64}, {"N", 2}});
 }
 
 TEST(TracePlan, WcrReadsDoubleTheOutEdgeEvents) {
@@ -146,7 +140,7 @@ TEST(TracePlan, WcrReadsDoubleTheOutEdgeEvents) {
   const ir::Sdfg sdfg = workloads::matmul();
   SimulationOptions options;
   options.wcr_reads = true;
-  expect_plan_matches_serial(sdfg, {{"M", 4}, {"N", 4}, {"K", 4}}, options);
+  expect_plan_matches_reference(sdfg, {{"M", 4}, {"N", 4}, {"K", 4}}, options);
 }
 
 TEST(TracePlan, InterpretedEngineChunks) {
@@ -165,7 +159,6 @@ TEST(TracePlan, ReferenceTraceMatchesChunkOnCaseStudies) {
     SCOPED_TRACE(label);
     const AccessTrace reference = reference_trace(sdfg, binding);
     const TracePlan plan = plan_trace(sdfg, binding, {}, 4);
-    ASSERT_TRUE(plan.parallelizable);
     ASSERT_GT(plan.chunks.size(), 1u);
     EXPECT_EQ(plan.total_events,
               static_cast<std::int64_t>(reference.events.size()));
@@ -179,7 +172,7 @@ TEST(TracePlan, ManyChunksPerMap) {
   // Oversplitting (more chunks than outer iterations available) must
   // still tile the stream exactly.
   const ir::Sdfg sdfg = workloads::outer_product();
-  expect_plan_matches_serial(sdfg, {{"M", 6}, {"N", 3}}, {},
+  expect_plan_matches_reference(sdfg, {{"M", 6}, {"N", 3}}, {},
                              /*max_chunks_per_map=*/64);
 }
 
@@ -196,11 +189,10 @@ TEST(TracePlan, DegenerateExtentZeroMap) {
   const symbolic::SymbolMap binding{{"N", 0}};
 
   const TracePlan plan = plan_trace(sdfg, binding, {});
-  ASSERT_TRUE(plan.parallelizable);
   EXPECT_EQ(plan.total_events, 0);
   EXPECT_EQ(plan.total_executions, 0);
   EXPECT_TRUE(plan.chunks.empty());
-  expect_plan_matches_serial(sdfg, binding);
+  expect_plan_matches_reference(sdfg, binding);
   // The parallel entry points handle the empty plan too.
   EXPECT_EQ(simulate(sdfg, binding).events.size(), 0u);
 }
@@ -218,11 +210,10 @@ TEST(TracePlan, DegenerateExtentOneMap) {
   const symbolic::SymbolMap binding{{"N", 5}};
 
   const TracePlan plan = plan_trace(sdfg, binding, {}, 8);
-  ASSERT_TRUE(plan.parallelizable);
   ASSERT_EQ(plan.chunks.size(), 1u);
   EXPECT_EQ(plan.chunks[0].outer_begin, 0);
   EXPECT_EQ(plan.chunks[0].outer_count, 1);
-  expect_plan_matches_serial(sdfg, binding, {}, 8);
+  expect_plan_matches_reference(sdfg, binding, {}, 8);
 }
 
 TEST(TracePlan, ZeroTripNestedMap) {
@@ -241,10 +232,9 @@ TEST(TracePlan, ZeroTripNestedMap) {
   const symbolic::SymbolMap binding{{"N", 6}, {"K", 0}};
 
   const TracePlan plan = plan_trace(sdfg, binding, {});
-  ASSERT_TRUE(plan.parallelizable);
   EXPECT_EQ(plan.total_events, 0);
   EXPECT_EQ(plan.total_executions, 0);
-  expect_plan_matches_serial(sdfg, binding);
+  expect_plan_matches_reference(sdfg, binding);
 }
 
 TEST(TracePlan, TriangularInnerRangeFallsBackToEnumeration) {
@@ -259,7 +249,7 @@ TEST(TracePlan, TriangularInnerRangeFallsBackToEnumeration) {
                    "o = a", {{"o", "B", "i, j"}});
   const ir::Sdfg sdfg = p.take();
   const symbolic::SymbolMap binding{{"N", 9}};
-  expect_plan_matches_serial(sdfg, binding, {}, 4);
+  expect_plan_matches_reference(sdfg, binding, {}, 4);
 }
 
 TEST(TracePlan, CopyNodesPlanAsSerialChunks) {
@@ -272,7 +262,7 @@ TEST(TracePlan, CopyNodesPlanAsSerialChunks) {
   p.copy("A", "0:N-1", "B", "0:N-1");
   p.copy("B", "0:N-1", "C", "0:N-1");
   const ir::Sdfg sdfg = p.take();
-  expect_plan_matches_serial(sdfg, {{"N", 12}});
+  expect_plan_matches_reference(sdfg, {{"N", 12}});
 }
 
 TEST(TracePlan, ChunkCountTracksThreadKnob) {
@@ -290,20 +280,160 @@ TEST(TracePlan, ChunkCountTracksThreadKnob) {
     par::ThreadScope scope(8);
     wide = plan_trace(sdfg, binding, {});
   }
-  ASSERT_TRUE(narrow.parallelizable);
-  ASSERT_TRUE(wide.parallelizable);
   EXPECT_EQ(narrow.total_events, wide.total_events);
   EXPECT_EQ(narrow.total_executions, wide.total_executions);
   EXPECT_GE(wide.chunks.size(), narrow.chunks.size());
 }
 
-TEST(TracePlan, UnboundSymbolYieldsSerialFallback) {
-  // plan_trace never throws: an unbound extent marks the plan
-  // non-parallelizable and the caller's serial engine surfaces the error.
-  const ir::Sdfg sdfg = workloads::matmul();
-  const TracePlan plan = plan_trace(sdfg, {{"M", 4}, {"N", 4}}, {});
-  EXPECT_FALSE(plan.parallelizable);
-  EXPECT_TRUE(plan.chunks.empty());
+// The exception class `run` raises, by name ("none" when it returns).
+template <typename Run>
+std::string thrown_class(Run&& run) {
+  try {
+    run();
+  } catch (const symbolic::UnboundSymbolError&) {
+    return "UnboundSymbolError";
+  } catch (const std::domain_error&) {
+    return "domain_error";
+  } catch (const std::invalid_argument&) {
+    return "invalid_argument";
+  } catch (const std::out_of_range&) {
+    return "out_of_range";
+  } catch (const std::logic_error&) {
+    return "logic_error";
+  } catch (const std::exception& error) {
+    return std::string("other: ") + error.what();
+  }
+  return "none";
+}
+
+// B[i] = A[<read>] over i in <range>, with symbols N and S and arrays
+// of 16 elements.
+ir::Sdfg one_map_program(const std::string& range, const std::string& read) {
+  ProgramBuilder p("faults");
+  p.symbols({"N", "S"});
+  p.array("A", {"16"});
+  p.array("B", {"16"});
+  p.state("s");
+  p.mapped_tasklet("t", {{"i", range}}, {{"a", "A", read}}, "b = a",
+                   {{"b", "B", "i"}});
+  return p.take();
+}
+
+// Copies A[0:N-1] to B[0:S-1]; the builder refuses the mismatch, so the
+// destination subset is edited in afterwards.
+ir::Sdfg mismatched_copy_program() {
+  ProgramBuilder p("bad_copy");
+  p.symbols({"N", "S"});
+  p.array("A", {"16"});
+  p.array("B", {"16"});
+  p.state("s");
+  p.copy("A", "0:N-1", "B", "0:N-1");
+  ir::Sdfg sdfg = p.take();
+  for (ir::Edge& edge : sdfg.states()[0].mutable_edges()) {
+    edge.memlet.other_subset = ir::Subset::parse("0:S-1");
+  }
+  return sdfg;
+}
+
+TEST(TracePlan, PlannerErrorsMatchReferenceTrace) {
+  // A binding the planner cannot model raises the class the reference
+  // walk raises, whether the planner or generation finds the fault, at
+  // one thread and on the pool.
+  struct Case {
+    const char* label;
+    ir::Sdfg sdfg;
+    symbolic::SymbolMap binding;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"unbound symbol", workloads::matmul(), {{"M", 4}, {"N", 4}},
+       "UnboundSymbolError"},
+      {"division by zero in a map bound", one_map_program("0:N/S-1", "i"),
+       {{"N", 16}, {"S", 0}}, "domain_error"},
+      {"division by zero in a subset", one_map_program("0:N-1", "i / S"),
+       {{"N", 16}, {"S", 0}}, "domain_error"},
+      {"non-positive map step", one_map_program("0:N-1:S", "i"),
+       {{"N", 16}, {"S", 0}}, "invalid_argument"},
+      {"copy size mismatch", mismatched_copy_program(),
+       {{"N", 16}, {"S", 8}}, "logic_error"},
+      {"out-of-bounds access", one_map_program("0:N-1", "i + 1"),
+       {{"N", 16}, {"S", 1}}, "out_of_range"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    EXPECT_EQ(thrown_class([&] { reference_trace(c.sdfg, c.binding); }),
+              c.expected);
+    for (const int threads : {1, 4}) {
+      par::ThreadScope scope(threads);
+      EXPECT_EQ(thrown_class([&] { simulate(c.sdfg, c.binding); }),
+                c.expected)
+          << "threads=" << threads;
+    }
+  }
+  // A zero subset step never ends the reference walk; the planner
+  // refuses it before any event is generated.
+  const ir::Sdfg strided = one_map_program("0:N-1", "0:N-1:S");
+  const symbolic::SymbolMap zero_step{{"N", 16}, {"S", 0}};
+  EXPECT_EQ(thrown_class([&] { plan_trace(strided, zero_step, {}); }),
+            "invalid_argument");
+  for (const int threads : {1, 4}) {
+    par::ThreadScope scope(threads);
+    EXPECT_EQ(thrown_class([&] { simulate(strided, zero_step); }),
+              "invalid_argument")
+        << "threads=" << threads;
+  }
+}
+
+TEST(TracePlan, ScopeRunningZeroTimesIsNeverEvaluated) {
+  // The body's zero subset step would be refused if the body ran; a map
+  // that runs zero times — at the top level or nested — emits nothing,
+  // as in the reference walk.
+  const ir::Sdfg top = one_map_program("0:N-1", "0:N-1:S");
+  const symbolic::SymbolMap empty{{"N", 0}, {"S", 0}};
+  EXPECT_EQ(reference_trace(top, empty).events.size(), 0u);
+  EXPECT_EQ(simulate(top, empty).events.size(), 0u);
+
+  ProgramBuilder p("zero_inner_step");
+  p.symbols({"N", "K", "S"});
+  p.array("A", {"N", "8"});
+  p.array("B", {"N", "8"});
+  p.state("s");
+  p.begin_map("outer", {{"i", "0:N-1"}});
+  p.mapped_tasklet("t", {{"k", "0:K-1"}}, {{"a", "A", "i, 0:7:S"}}, "o = a",
+                   {{"o", "B", "i, k"}});
+  p.end_map();
+  const ir::Sdfg nested = p.take();
+  const symbolic::SymbolMap inner_empty{{"N", 6}, {"K", 0}, {"S", 0}};
+  EXPECT_EQ(reference_trace(nested, inner_empty).events.size(), 0u);
+  for (const int threads : {1, 4}) {
+    par::ThreadScope scope(threads);
+    const AccessTrace trace = simulate(nested, inner_empty);
+    EXPECT_EQ(trace.events.size(), 0u);
+    EXPECT_EQ(trace.executions, 0);
+  }
+}
+
+TEST(TracePlan, UniformChunkBoundariesAreArithmetic) {
+  // The uniform path places chunk boundaries by arithmetic, at a cost
+  // set by the chunk count: 2^62 outer ordinals plan instantly, and a
+  // trace too long for int64 is refused instead of wrapping.
+  ProgramBuilder p("long_map");
+  p.symbols({"N", "M"});
+  p.array("A", {"N", "M"});
+  p.state("s");
+  p.mapped_tasklet("t", {{"i", "0:N-1"}, {"j", "0:M-1"}}, {{"a", "A", "i, j"}},
+                   "o = a", {{"o", "A", "i, j"}});
+  const ir::Sdfg sdfg = p.take();
+  const TracePlan plan =
+      plan_trace(sdfg, {{"N", std::int64_t{1} << 60}, {"M", 2}}, {}, 4);
+  ASSERT_EQ(plan.chunks.size(), 4u);
+  EXPECT_EQ(plan.total_events, std::int64_t{1} << 62);
+  EXPECT_EQ(plan.chunks[1].outer_begin, std::int64_t{1} << 58);
+  EXPECT_EQ(plan.chunks[3].event_offset, 3 * (std::int64_t{1} << 60));
+  EXPECT_THROW(plan_trace(sdfg, {{"N", std::int64_t{1} << 62}, {"M", 2}}, {}),
+               std::overflow_error);
+  EXPECT_THROW(plan_trace(sdfg, {{"N", 3037000500}, {"M", 3037000500}}, {}),
+               std::overflow_error);
 }
 
 }  // namespace
